@@ -18,7 +18,7 @@ import numpy as np
 
 from .detour import FractalScene, check_exceptional
 from .domains import DiskDomain, Domain, PolygonDomain
-from .errors import MissingFitError
+from .errors import InvalidShapeError, MissingFitError
 from .fractals import FractalApproximation, staircase_array
 from .geometry import Line, line_component_hits
 from .qhyp import FitReport, HolderFit, ShadowTable
@@ -171,11 +171,8 @@ def measure_zero_bound(f: FractalApproximation, line: Line, m: int,
 
     hole_ivs = []
     met_deeper: list[float] = []
-    idx = 0
-    for comp in scene.holes:
-        idx += 1
+    for comp, lvl in zip(scene.holes, scene.hole_levels):
         hits = line_component_hits(line, comp)
-        lvl = _hole_level(f, comp.index)
         if lvl <= m:
             hole_ivs.extend(hits)
         elif hits:
@@ -195,24 +192,14 @@ def measure_zero_bound(f: FractalApproximation, line: Line, m: int,
     )
 
 
-def _hole_level(f: FractalApproximation, index: int) -> int:
-    """Removal level of the hole with the given scene index (1-based)."""
-    count = 0
-    for j in range(f.max_level + 1):
-        n = f.n_holes_at(j)
-        if index <= count + n:
-            return j
-        count += n
-    raise IndexError(f"hole index {index} beyond the generated scene")
-
-
 def integrated_measure_bound(f: FractalApproximation, direction: str,
                              m: int) -> CertificateReport:
     """Three times the diameter-square tail of the holes beyond level ``m``.
 
     For the triangle and square fractals the tail has an exact rational
     value, reported alongside the explicit enumeration through the generated
-    depth; the enumeration must agree with the closed form to the last bit.
+    depth; the enumeration must agree with the closed form to the last bit,
+    else :class:`InvalidShapeError` is raised.
     """
     depth = f.max_level
     exact: Fraction | None = None
@@ -225,13 +212,17 @@ def integrated_measure_bound(f: FractalApproximation, direction: str,
                 enumerated += n * Fraction(float(w)) * Fraction(float(w))
         tail = Fraction(3, 4) ** depth  # levels beyond the generated scene
         exact = 3 * (enumerated + tail)
-        assert exact == 3 * Fraction(3, 4) ** m
+        if exact != 3 * Fraction(3, 4) ** m:
+            raise InvalidShapeError(
+                f"gasket hole tail {exact} differs from 3 (3/4)^{m}")
     elif f.kind == "carpet":
         for j in range(m + 1, depth + 1):
             enumerated += f.n_holes_at(j) * Fraction(2, 9 ** j)
         tail = 2 * Fraction(8, 9) ** depth
         exact = 3 * (enumerated + tail)
-        assert exact == 6 * Fraction(8, 9) ** m
+        if exact != 6 * Fraction(8, 9) ** m:
+            raise InvalidShapeError(
+                f"carpet hole tail {exact} differs from 6 (8/9)^{m}")
     else:
         sq = Fraction(0)
         for j in range(m + 1, depth + 1):
@@ -381,17 +372,12 @@ def boundary_image_tail(w: WhitneyDecomposition, table: ShadowTable,
 # ---------------------------------------------------------------------------
 
 def _hole_geometry(f: FractalApproximation, scene: FractalScene, m: int):
-    """(components, diameters, areas) of the holes up to level ``m``."""
-    comps = []
+    """(components, levels, diameters, areas) of the holes up to level ``m``."""
+    keep = scene.hole_levels <= m
+    comps = [comp for comp, k in zip(scene.holes, keep) if k]
     diams = []
     areas = []
-    idx = 0
-    for comp in scene.holes:
-        idx += 1
-        lvl = _hole_level(f, comp.index)
-        if lvl > m:
-            continue
-        comps.append(comp)
+    for comp in comps:
         if f.kind == "gasket":
             v = comp.shape.vertices
             width = float(v[:, 0].max() - v[:, 0].min())
@@ -406,7 +392,7 @@ def _hole_geometry(f: FractalApproximation, scene: FractalScene, m: int):
             r = comp.shape.radius
             diams.append(2.0 * r)
             areas.append(math.pi * r * r)
-    return comps, np.asarray(diams), np.asarray(areas)
+    return comps, scene.hole_levels[keep], np.asarray(diams), np.asarray(areas)
 
 
 def _image_diameter(fn: PiecewiseFunctionSample, comp, n: int) -> float:
@@ -432,7 +418,7 @@ def removability_certificate(f: FractalApproximation,
         raise ValueError("the removability certificate needs p > 2")
     if scene is None:
         scene = FractalScene(f)
-    comps, diams, areas = _hole_geometry(f, scene, m)
+    comps, levels, diams, areas = _hole_geometry(f, scene, m)
     image = np.array([_image_diameter(fn, c, n_boundary) for c in comps])
     image2 = np.array([_image_diameter(fn, c, 2 * n_boundary) for c in comps])
     value = math.fsum(image * diams)
@@ -451,10 +437,8 @@ def removability_certificate(f: FractalApproximation,
     pprime = p / (p - 1.0)
     core = (float(np.sum(areas)) ** (1.0 / pprime)) * (grad_int ** (1.0 / p))
     c_rep = value / core if core > 0 else (0.0 if value == 0 else math.inf)
-    per_level = []
-    for j in range(1, m + 1):
-        sel = [i for i, c in enumerate(comps) if _hole_level(f, c.index) == j]
-        per_level.append(math.fsum(image[i] * diams[i] for i in sel))
+    per_level = [math.fsum(image[levels == j] * diams[levels == j])
+                 for j in range(1, m + 1)]
     return CertificateReport(
         name="removability-sum",
         truncation=f"holes of level <= {m}",

@@ -45,7 +45,6 @@ class RunConfig:
     what: str = "integrated-measure"
     fn: str = "x2+y"
     map_id: str = "z2-16/27z"
-    lam: complex = 0.0
     grid: int = 256
     max_iter: int = 64
     qh_bound: float = 1.0 / 3.0
@@ -103,8 +102,8 @@ def _fractal_for(cfg: RunConfig) -> fractals.FractalApproximation:
 
 def _cmd_generate(cfg: RunConfig) -> int:
     if cfg.scene == "julia":
-        counts = fractals.julia_raster(cfg.map_id, cfg.lam, cfg.grid,
-                                       cfg.max_iter)
+        counts = fractals.julia_raster(cfg.map_id, grid=cfg.grid,
+                                       max_iter=cfg.max_iter)
         _write_bytes(cfg, "julia.pgm", fractals.raster_to_pgm(counts, cfg.max_iter))
         hist = np.bincount(counts.ravel(), minlength=cfg.max_iter + 1)
         rows = ["iterations,pixels"]
@@ -113,7 +112,7 @@ def _cmd_generate(cfg: RunConfig) -> int:
         return 0
     f = _fractal_for(cfg)
     comps = [f.outer_component()] + f.hole_components()
-    levels = [0] + [certify._hole_level(f, c.index) for c in comps[1:]]
+    levels = [0] + f.hole_levels().tolist()
     _write(cfg, "scene.json", scene_to_json(comps, levels))
     return 0
 

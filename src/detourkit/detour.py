@@ -34,7 +34,8 @@ class FractalScene:
     """Indexed complementary components of a fractal approximation.
 
     Component 0 is the unbounded one; holes are numbered from 1 in removal
-    order.  Built once per (fractal, level) pair and reused across lines.
+    order, and ``hole_levels[k - 1]`` is the removal level of hole k.  Built
+    once per (fractal, level) pair and reused across lines.
     """
 
     def __init__(self, f: FractalApproximation, max_level: int | None = None):
@@ -42,17 +43,15 @@ class FractalScene:
         self.max_level = f.max_level if max_level is None else max_level
         self.outer = f.outer_component()
         self.holes = f.hole_components(self.max_level)
+        self.hole_levels = f.hole_levels(self.max_level)
         self.components = {0: self.outer}
         for h in self.holes:
             self.components[h.index] = h
         self._hole_tris: list[tuple[np.ndarray, np.ndarray]] = []
-        idx = 1
         if f.kind == "gasket":
-            for j in range(self.max_level + 1):
-                tris = f.levels[j].holes
-                ids = np.arange(idx, idx + len(tris), dtype=np.int64)
-                idx += len(tris)
-                self._hole_tris.append((tris, ids))
+            ids = np.arange(1, len(self.hole_levels) + 1)
+            self._hole_tris = [(f.levels[j].holes, ids[self.hole_levels == j])
+                               for j in range(self.max_level + 1)]
 
     def component(self, k: int) -> SceneComponent:
         return self.components[k]

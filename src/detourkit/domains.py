@@ -59,9 +59,6 @@ class Domain:
     def boundary_points(self, n: int) -> np.ndarray:
         raise NotImplementedError
 
-    def scale(self, s: float) -> "Domain":
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class DiskDomain(Domain):
@@ -104,10 +101,6 @@ class DiskDomain(Domain):
         th = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
         return np.column_stack([self.center[0] + self.radius * np.cos(th),
                                 self.center[1] + self.radius * np.sin(th)])
-
-    def scale(self, s: float) -> "DiskDomain":
-        return DiskDomain((self.center[0] * s, self.center[1] * s),
-                          self.radius * s, self.name)
 
 
 def _box_segment_distance(cx, cy, half, ax, ay, bx, by):
@@ -247,9 +240,6 @@ class PolygonDomain(Domain):
 
         return sample_polygon_boundary(self.vertices, n)
 
-    def scale(self, s: float) -> "PolygonDomain":
-        return PolygonDomain(self.vertices * s, self.name)
-
 
 def equilateral_triangle_domain(side: float = 1.0) -> PolygonDomain:
     v = np.array([[0.0, 0.0], [side, 0.0], [side / 2.0, side * math.sqrt(3.0) / 2.0]])
@@ -292,15 +282,3 @@ def comb_domain(teeth: int = 5, first_neck: float = 0.02,
         ]
     pts.append((0.0, base_top))
     return PolygonDomain(np.asarray(pts, dtype=float), name=f"comb{teeth}")
-
-
-def domain_from_component(component) -> Domain:
-    """Oracle for the open region enclosed by a bounded scene component."""
-    from .geometry import Circle
-
-    if isinstance(component.shape, Circle):
-        c = component.shape.center
-        return DiskDomain((c.x, c.y), component.shape.radius,
-                          name=f"component{component.index}")
-    return PolygonDomain(component.shape.vertices,
-                         name=f"component{component.index}")

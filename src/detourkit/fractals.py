@@ -63,11 +63,6 @@ class FractalApproximation:
             return len(self.interstices) - 1
         return len(self.levels) - 1
 
-    def solid_triangles(self, level: int) -> np.ndarray:
-        if self.kind != "gasket":
-            raise ValueError(f"no triangle solids for kind {self.kind!r}")
-        return self.levels[level].solids
-
     def solid_squares(self, level: int) -> tuple[np.ndarray, float]:
         """Lower-left corners (n, 2) and common side of the carpet solids."""
         if self.kind != "carpet":
@@ -100,6 +95,13 @@ class FractalApproximation:
                 out.append(comp)
                 idx += 1
         return out
+
+    def hole_levels(self, max_level: int | None = None) -> np.ndarray:
+        """Removal level of every hole through ``max_level``: entry k - 1
+        belongs to hole k of :meth:`hole_components`."""
+        top = self.max_level if max_level is None else max_level
+        return np.repeat(np.arange(top + 1),
+                         [self.n_holes_at(j) for j in range(top + 1)])
 
     def _holes_at(self, level: int, start_index: int) -> list[SceneComponent]:
         comps: list[SceneComponent] = []
@@ -262,19 +264,24 @@ class TangentCircleTriple:
 
 
 def _tangency_newton(centers: np.ndarray, radii: np.ndarray, signs: np.ndarray,
-                     c0: np.ndarray, r0: float, tol: float = 1e-12):
+                     c0: np.ndarray, r0: float, encloses: bool = False,
+                     tol: float = 1e-12):
     """Damped Newton solve of |c - c_i| = r + sign_i * r_i for (c, r).
 
     ``signs`` is +1 for external tangency; -1 marks a wall that surrounds the
     unknown circle (the enclosing circle), turning the equation into
-    |c - c_i| = r_i - r, handled by negating both sides.
+    |c - c_i| = r_i - r, handled by negating both sides.  ``encloses`` marks
+    an unknown circle that surrounds all three walls, |c - c_i| = r - r_i;
+    ``signs`` is then ignored.
     """
     x = np.array([c0[0], c0[1], abs(r0)], dtype=float)
+    dr = -np.ones(3) if encloses else np.where(signs > 0, -np.ones(3), np.ones(3))
 
     def residual(x):
         d = np.hypot(x[0] - centers[:, 0], x[1] - centers[:, 1])
-        target = np.where(signs > 0, x[2] + radii, radii - x[2])
-        return d - target
+        if encloses:
+            return d - (x[2] - radii)
+        return d - np.where(signs > 0, x[2] + radii, radii - x[2])
 
     res = residual(x)
     for _ in range(80):
@@ -286,7 +293,7 @@ def _tangency_newton(centers: np.ndarray, radii: np.ndarray, signs: np.ndarray,
         jac = np.column_stack([
             (x[0] - centers[:, 0]) / d,
             (x[1] - centers[:, 1]) / d,
-            np.where(signs > 0, -np.ones(3), np.ones(3)),
+            dr,
         ])
         cond = np.linalg.cond(jac)
         if not np.isfinite(cond) or cond > 1e8:
@@ -305,45 +312,6 @@ def _tangency_newton(centers: np.ndarray, radii: np.ndarray, signs: np.ndarray,
     if np.abs(res).max() > 1e-9:
         raise IllConditionedError(
             f"tangency solve stalled at residual {np.abs(res).max():.3e}")
-    return x[:2], float(x[2])
-
-
-def _enclosing_newton(centers: np.ndarray, radii: np.ndarray,
-                      c0: np.ndarray, r0: float):
-    """Newton solve of |c - c_i| = r - r_i for the circle enclosing all walls."""
-    x = np.array([c0[0], c0[1], abs(r0)], dtype=float)
-
-    def residual(x):
-        d = np.hypot(x[0] - centers[:, 0], x[1] - centers[:, 1])
-        return d - (x[2] - radii)
-
-    res = residual(x)
-    for _ in range(80):
-        norm = np.abs(res).max()
-        if norm < 1e-12:
-            break
-        d = np.hypot(x[0] - centers[:, 0], x[1] - centers[:, 1])
-        d = np.where(d < 1e-300, 1.0, d)
-        jac = np.column_stack([(x[0] - centers[:, 0]) / d,
-                               (x[1] - centers[:, 1]) / d,
-                               -np.ones(3)])
-        cond = np.linalg.cond(jac)
-        if not np.isfinite(cond) or cond > 1e8:
-            raise IllConditionedError(f"tangency system condition number {cond:.3e}")
-        step = np.linalg.solve(jac, -res)
-        lam = 1.0
-        for _ in range(40):
-            cand = x + lam * step
-            cres = residual(cand)
-            if np.abs(cres).max() < norm:
-                x, res = cand, cres
-                break
-            lam *= 0.5
-        else:
-            break
-    if np.abs(res).max() > 1e-9:
-        raise IllConditionedError(
-            f"enclosing solve stalled at residual {np.abs(res).max():.3e}")
     return x[:2], float(x[2])
 
 
@@ -367,13 +335,14 @@ def soddy_circles(t: TangentCircleTriple) -> tuple[SceneComponent, SceneComponen
     zroot = 2.0 * np.sqrt(k[0] * k[1] * z[0] * z[1] + k[1] * k[2] * z[1] * z[2]
                           + k[2] * k[0] * z[2] * z[0])
 
-    def newton_from_seed(k4: float, solver):
+    def newton_from_seed(k4: float, encloses: bool):
         best = None
         for sgn in (1.0, -1.0):
             z4 = (k[0] * z[0] + k[1] * z[1] + k[2] * z[2] + sgn * zroot) / k4
             c0 = np.array([z4.real, z4.imag])
             try:
-                c_fit, r_fit = solver(centers, radii, c0, abs(1.0 / k4))
+                c_fit, r_fit = _tangency_newton(centers, radii, np.ones(3), c0,
+                                                abs(1.0 / k4), encloses)
             except IllConditionedError:
                 continue
             if best is None or r_fit >= 0:
@@ -383,9 +352,8 @@ def soddy_circles(t: TangentCircleTriple) -> tuple[SceneComponent, SceneComponen
             raise IllConditionedError("no tangent circle found from curvature seeds")
         return best
 
-    inner_c, inner_r = newton_from_seed(
-        k_inner, lambda ce, ra, c0, r0: _tangency_newton(ce, ra, np.ones(3), c0, r0))
-    outer_c, outer_r = newton_from_seed(k_outer, _enclosing_newton)
+    inner_c, inner_r = newton_from_seed(k_inner, encloses=False)
+    outer_c, outer_r = newton_from_seed(k_outer, encloses=True)
     inner = SceneComponent(1, Circle(Point(*inner_c), inner_r))
     outer = SceneComponent(0, Circle(Point(*outer_c), outer_r), bounded=False)
     return inner, outer

@@ -40,9 +40,6 @@ class Point:
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y], dtype=float)
 
-    def distance_to(self, other: "Point") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
-
 
 @dataclass(frozen=True)
 class Line:
@@ -91,15 +88,6 @@ class Line:
     def vertical(cls, x: float) -> "Line":
         # normal of direction (0,1) is (-1,0), so offset is -x
         return cls((0.0, 1.0), -x)
-
-    @classmethod
-    def from_point_direction(cls, p: Point, d: tuple[float, float]) -> "Line":
-        norm = math.hypot(*d)
-        if norm < 1e-12:
-            raise InvalidShapeError("line direction must be a nonzero vector")
-        dx, dy = d[0] / norm, d[1] / norm
-        offset = p.x * (-dy) + p.y * dx
-        return cls((dx, dy), offset)
 
     def point_at(self, t: float | np.ndarray) -> np.ndarray:
         b = self.base

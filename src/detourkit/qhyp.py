@@ -41,14 +41,20 @@ from .whitney import WhitneyDecomposition
 
 __all__ = [
     "HolderFit", "FitReport", "ShadowTable", "GeodesicSolver", "solver_for",
-    "qh_distance", "qh_geodesic", "geodesic_to_boundary", "holder_fit",
-    "geodesic_cube_sum", "shadows", "shadow_sum_check",
+    "qh_distance", "qh_geodesic", "geodesic_cube_sum",
 ]
+
+#: byte budget of one solver's cached Dijkstra runs; a run that would push
+#: the cache past it clears the cache first
+DIJKSTRA_CACHE_BYTES = 1 << 29
 
 
 @dataclass(frozen=True)
 class HolderFit:
-    """Logarithmic growth certificate: k(x, x0) <= log(d0/d(x))/alpha + c."""
+    """Logarithmic growth certificate: k(x, x0) <= log(d0/d(x))/alpha + c.
+
+    ``samples`` counts the marked cubes the fit ran over, not boundary samples.
+    """
 
     basepoint: tuple[float, float]
     alpha: float
@@ -64,6 +70,7 @@ class FitReport:
     alpha_floor: float
     c_max: float
     worst_excess: float  # residual above c_max at the alpha floor; <= 0 when fittable
+    n_served: int        # boundary samples that had a terminal cube
 
 
 @dataclass
@@ -72,13 +79,16 @@ class ShadowTable:
 
     ``entries`` maps cube id to the indices of the boundary samples whose
     geodesic chain passes through the cube; ``s`` of a cube is the diameter
-    of those samples (0 when no or one geodesic meets it).
+    of those samples (0 when no or one geodesic meets it).  ``n_served``
+    of the ``n_samples`` boundary samples had a terminal cube; the others
+    have no chain and appear in no entry.
     """
 
     basepoint: tuple[float, float]
     n_samples: int
     boundary: np.ndarray
     entries: dict[int, np.ndarray]
+    n_served: int
 
     def s(self, cube_id: int) -> float:
         idx = self.entries.get(cube_id)
@@ -122,16 +132,19 @@ class GeodesicSolver:
         ``limit`` prunes the search radius; entries beyond it come back as
         inf.  A cached run is reused only when its radius covers the request
         and it holds predecessors if they are asked for.  Distance queries
-        skip the predecessors, which keeps the cache a third smaller.
+        skip the predecessors, which keeps the cache a third smaller.  The
+        cache is cleared when a new run would push it past
+        ``DIJKSTRA_CACHE_BYTES``.
         """
         hit = self._cache.get(src)
         if hit is None or hit[0] < limit or (predecessors and hit[2] is None):
             out = _sp_dijkstra(self.graph, indices=src,
                                return_predecessors=predecessors, limit=limit)
             dist, pred = out if predecessors else (out, None)
-            if len(self._cache) > 128:
-                self._cache.clear()
             hit = (limit, dist, pred)
+            held = sum(_nbytes(e) for s, e in self._cache.items() if s != src)
+            if held + _nbytes(hit) > DIJKSTRA_CACHE_BYTES:
+                self._cache.clear()
             self._cache[src] = hit
         return hit[1], hit[2]
 
@@ -280,7 +293,7 @@ class GeodesicSolver:
         leg0 = self.leg(x0, src)
         dist, _ = self.run_dijkstra(src)
         marked = np.zeros(len(w), dtype=bool)
-        _, chains = self._boundary_chains(x0, w.domain.boundary_points(n_samples))
+        served, chains = self._boundary_chains(x0, w.domain.boundary_points(n_samples))
         marked[w.chain_cubes(chains)[1]] = True
         idx = np.flatnonzero(marked & np.isfinite(dist))
         khat = leg0 + dist[idx]
@@ -292,7 +305,7 @@ class GeodesicSolver:
 
         if c_of(alpha_floor) > c_max:
             return FitReport("not-holder", None, alpha_floor, c_max,
-                             c_of(alpha_floor) - c_max)
+                             c_of(alpha_floor) - c_max, len(served))
         lo = alpha_floor
         hi = None
         for alpha in np.geomspace(alpha_floor, 1.0, 64):
@@ -315,7 +328,7 @@ class GeodesicSolver:
         resid = float(np.max(khat - logs / alpha - c))
         fit = HolderFit((float(x0[0]), float(x0[1])), float(alpha), c,
                         int(len(idx)), resid)
-        return FitReport("ok", fit, alpha_floor, c_max, resid)
+        return FitReport("ok", fit, alpha_floor, c_max, resid, len(served))
 
     # --- shadows -----------------------------------------------------------------
 
@@ -331,7 +344,8 @@ class GeodesicSolver:
         starts = np.flatnonzero(np.diff(cubes, prepend=-1))
         samples = np.split(np.asarray(served, dtype=np.int64)[owner], starts[1:])
         entries = {int(c): idx for c, idx in zip(cubes[starts], samples)}
-        return ShadowTable((float(x0[0]), float(x0[1])), n_samples, pts, entries)
+        return ShadowTable((float(x0[0]), float(x0[1])), n_samples, pts, entries,
+                           len(served))
 
     def shadow_sum_check(self, table: ShadowTable) -> tuple[float, float, float]:
         """(sum of s(Q)^2, quadrature of k(x, x0)^2 over the domain, ratio)."""
@@ -344,6 +358,11 @@ class GeodesicSolver:
         rhs = float(np.sum((khat[ok] ** 2) * (w.side[ok] ** 2)))
         ratio = lhs / rhs if rhs > 0 else math.inf
         return lhs, rhs, ratio
+
+
+def _nbytes(entry) -> int:
+    _, dist, pred = entry
+    return dist.nbytes + (0 if pred is None else pred.nbytes)
 
 
 def solver_for(w: WhitneyDecomposition) -> GeodesicSolver:
@@ -363,15 +382,6 @@ def qh_distance(w: WhitneyDecomposition, a, b) -> float:
 
 def qh_geodesic(w: WhitneyDecomposition, a, b) -> Geodesic:
     return solver_for(w).geodesic(a, b)
-
-
-def geodesic_to_boundary(w: WhitneyDecomposition, x0, b) -> Geodesic:
-    return solver_for(w).to_boundary(x0, b)
-
-
-def holder_fit(w: WhitneyDecomposition, x0, n_samples: int,
-               alpha_floor: float = 1e-3, c_max: float = 1e3) -> FitReport:
-    return solver_for(w).holder_fit(x0, n_samples, alpha_floor, c_max)
 
 
 def geodesic_cube_sum(w: WhitneyDecomposition, chain: np.ndarray, beta: float,
@@ -394,14 +404,6 @@ def geodesic_cube_sum(w: WhitneyDecomposition, chain: np.ndarray, beta: float,
     ref = delta0 ** beta
     return {"sum": total, "reference": ref, "ratio": total / ref, "beta": beta,
             "cubes": int(len(sides))}
-
-
-def shadows(w: WhitneyDecomposition, x0, n_samples: int) -> ShadowTable:
-    return solver_for(w).shadows(x0, n_samples)
-
-
-def shadow_sum_check(w: WhitneyDecomposition, table: ShadowTable):
-    return solver_for(w).shadow_sum_check(table)
 
 
 def polyline_csv(poly: np.ndarray) -> str:

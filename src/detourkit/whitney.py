@@ -27,8 +27,7 @@ MAX_CUTOFF = 24
 _LEVEL_BIAS = 16
 _COORD_BIAS = 1 << 27
 
-#: comparability constants: ell(Q) <= corner delta <= CORNER_UPPER * ell(Q)
-CORNER_LOWER = 1.0
+#: corner comparability: ell(Q) <= corner delta <= CORNER_UPPER * ell(Q)
 CORNER_UPPER = 4.0 * SQRT2 + SQRT2
 
 
@@ -80,7 +79,7 @@ class WhitneyDecomposition:
 
     def __init__(self, domain: Domain, min_level_cutoff: int,
                  levels: np.ndarray, ix: np.ndarray, iy: np.ndarray,
-                 dist: np.ndarray, corner_upper: float = CORNER_UPPER):
+                 dist: np.ndarray):
         # canonical (level, ix, iy) order; the packed key order matches it
         order = np.argsort(_pack(levels, ix, iy))
         self.domain = domain
@@ -94,7 +93,6 @@ class WhitneyDecomposition:
                                         (self.iy + 0.5) * self.side])
         self.delta_center = domain.boundary_distance(self.centers) \
             if len(self.levels) else np.zeros(0)
-        self.corner_upper = corner_upper
         if np.any(self.delta_center <= 0.0):
             raise OracleError("inside cube center with zero boundary distance")
         self.keys = _pack(self.levels, self.ix, self.iy)
@@ -631,9 +629,7 @@ def refine_for_qh(w: WhitneyDecomposition,
     satisfy the in-cube distance budget used by the graph metric.  The
     default budget is 1/3; accuracy-critical callers may pass a smaller
     value, which only strengthens the guarantee.  A 2:1 style balance pass
-    keeps the neighbor side ratio within 4.  Corner distance comparability
-    loosens by the number of splits taken; the resulting upper constant is
-    recorded on the output.
+    keeps the neighbor side ratio within 4.
     """
     if not 0.0 < qh_bound <= QH_DIAMETER_BOUND:
         raise ValueError("qh_bound must be in (0, 1/3]")
@@ -641,7 +637,6 @@ def refine_for_qh(w: WhitneyDecomposition,
     ix = w.ix.copy()
     iy = w.iy.copy()
     dist = w.dist.copy()
-    max_splits = 0
     domain = w.domain
     # distances only steer threshold comparisons against small multiples of
     # the side, so the oracle may clamp beyond this cap without changing any
@@ -652,7 +647,6 @@ def refine_for_qh(w: WhitneyDecomposition,
         need = side * SQRT2 / dist > qh_bound
         if not np.any(need):
             break
-        max_splits += 1
         keep = ~need
         sx, sy = _split_cells(ix[need], iy[need])
         sl = np.repeat(levels[need], 4) + 1
@@ -681,7 +675,6 @@ def refine_for_qh(w: WhitneyDecomposition,
             break
         too_coarse = np.zeros(len(levels), dtype=bool)
         too_coarse[faces[bad]] = True
-        max_splits = max(max_splits, 1)
         keep = ~too_coarse
         sx, sy = _split_cells(ix[too_coarse], iy[too_coarse])
         sl = np.repeat(levels[too_coarse], 4) + 1
@@ -693,15 +686,8 @@ def refine_for_qh(w: WhitneyDecomposition,
         iy = np.concatenate([iy[keep], sy])
         dist = np.concatenate([dist[keep], sd])
 
-    corner_upper = w.corner_upper * (2.0 ** max_splits) if max_splits else w.corner_upper
-    out = WhitneyDecomposition(domain, w.min_level_cutoff, levels, ix, iy,
-                               dist, corner_upper=corner_upper)
+    out = WhitneyDecomposition(domain, w.min_level_cutoff, levels, ix, iy, dist)
     # the probe ran on canonically sorted arrays, so its positions are valid
     # for the constructed object
     out._faces = faces
     return out
-
-
-def adjacency_edges(w: WhitneyDecomposition) -> tuple[np.ndarray, np.ndarray]:
-    """Edge list (m, 2) with quasihyperbolic weights; see the class method."""
-    return w.adjacency_edges()

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +12,10 @@ from detourkit import certify as ct
 from detourkit import qhyp
 from detourkit.detour import FractalScene
 from detourkit.domains import DiskDomain, PolygonDomain
-from detourkit.errors import MissingFitError
-from detourkit.fractals import carpet_levels, gasket_levels
+import detourkit
+from detourkit.errors import InvalidShapeError, MissingFitError
+from detourkit.fractals import (FractalApproximation, FractalLevel,
+                                carpet_levels, gasket_levels)
 from detourkit.geometry import Line
 from detourkit.whitney import refine_for_qh, whitney_decompose
 
@@ -79,6 +85,38 @@ class TestIntegratedMeasureBound:
         carpet = carpet_levels(6)
         rep = ct.integrated_measure_bound(carpet, "horizontal", 2)
         assert rep.exact == 6 * Fraction(8, 9) ** 2
+
+    def test_dropped_hole_raises(self):
+        g = gasket_levels(5)
+        lv = g.levels[3]
+        levels = list(g.levels)
+        levels[3] = FractalLevel(lv.solids, lv.holes[1:])
+        with pytest.raises(InvalidShapeError):
+            ct.integrated_measure_bound(FractalApproximation("gasket", levels),
+                                        "horizontal", 1)
+
+    def test_dropped_hole_raises_under_optimize(self):
+        # python -O strips assert statements; the check must survive it
+        code = (
+            "from detourkit import certify as ct\n"
+            "from detourkit.errors import InvalidShapeError\n"
+            "from detourkit.fractals import (FractalApproximation, FractalLevel,\n"
+            "                                gasket_levels)\n"
+            "g = gasket_levels(5)\n"
+            "levels = list(g.levels)\n"
+            "levels[3] = FractalLevel(levels[3].solids, levels[3].holes[1:])\n"
+            "try:\n"
+            "    ct.integrated_measure_bound(FractalApproximation('gasket', levels),\n"
+            "                                'horizontal', 1)\n"
+            "except InvalidShapeError:\n"
+            "    raise SystemExit(3)\n"
+        )
+        path = [str(Path(detourkit.__file__).resolve().parents[1]),
+                os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3, proc.stderr
 
 
 class TestAdjacentCubeEstimate:

@@ -21,6 +21,19 @@ def scene6(gasket6):
     return dt.FractalScene(gasket6)
 
 
+class TestScene:
+    def test_gasket_hole_ids_follow_levels(self, gasket6, scene6):
+        # locate derives its gasket hole ids from hole_levels; the centroid
+        # of every level-j hole triangle must come back as a level-j hole
+        # with that triangle as its shape
+        for j in range(1, 4):
+            for tri in gasket6.levels[j].holes:
+                k = scene6.locate(tri.mean(axis=0))
+                assert scene6.hole_levels[k - 1] == j
+                shape = scene6.component(k).shape.vertices
+                assert sorted(map(tuple, shape)) == sorted(map(tuple, tri))
+
+
 class TestIntervalCover:
     def test_two_solids_and_hole_gap(self, gasket6):
         # just below mid-height the line crosses the left and right level-1

@@ -106,6 +106,25 @@ class TestCarpet:
             carpet_levels(CARPET_MAX_LEVEL + 1)
 
 
+class TestHoleLevels:
+    @pytest.mark.parametrize("f", [
+        gasket_levels(4), carpet_levels(3),
+        apollonian(TangentCircleTriple.three_unit(), 0.05),
+    ], ids=["gasket", "carpet", "apollonian"])
+    def test_matches_removal_order(self, f):
+        # reference: hole k belongs to the first level whose cumulative hole
+        # count reaches k
+        for top in (f.max_level, 1):
+            levels = f.hole_levels(top)
+            expect = [next(j for j in range(top + 1)
+                           if k <= f.n_holes_cumulative(j))
+                      for k in range(1, f.n_holes_cumulative(top) + 1)]
+            assert levels.dtype.kind == "i"
+            assert levels.tolist() == expect
+            assert [c.index for c in f.hole_components(top)] \
+                == list(range(1, len(levels) + 1))
+
+
 class TestSoddy:
     def test_inner_radius(self):
         # oracle by symmetry: the inner circle sits at the centroid of the

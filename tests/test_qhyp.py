@@ -238,7 +238,7 @@ class TestShadows:
 
     def test_single_sample_sparse(self, disk, solver):
         t = qhyp.ShadowTable(tuple(solver.default_basepoint()), 1,
-                             disk.domain.boundary_points(1), {})
+                             disk.domain.boundary_points(1), {}, 1)
         g = solver.to_boundary(solver.default_basepoint(),
                                disk.domain.boundary_points(1)[0])
         t.entries = {int(c): np.array([0]) for c in g.cubes}
@@ -254,3 +254,36 @@ class TestShadows:
     def test_sample_floor(self, solver):
         with pytest.raises(ValueError):
             solver.shadows(solver.default_basepoint(), 32)
+
+    def test_disk_serves_every_sample(self, solver, table):
+        served = {int(i) for idx in table.entries.values() for i in idx}
+        assert table.n_served == len(served) == table.n_samples
+        assert solver.holder_fit(table.basepoint, 32).n_served == 32
+
+    def test_comb_counts_dropped_samples(self):
+        # most comb boundary samples lie in necks too thin for an accepted
+        # cube at cutoff 10; they get no chain and must not be counted
+        s = qhyp.GeodesicSolver(refine_for_qh(whitney_decompose(comb_domain(), 10)))
+        x0 = s.default_basepoint()
+        table = s.shadows(x0, 512)
+        served = {int(i) for idx in table.entries.values() for i in idx}
+        assert table.n_served == len(served) < table.n_samples
+        assert s.holder_fit(x0, 64).n_served < 64
+
+
+class TestDijkstraCache:
+    def test_byte_bound_evicts(self, disk, monkeypatch):
+        last = len(disk) - 1
+        ref = qhyp.GeodesicSolver(disk)
+        d0, pred0 = ref.run_dijkstra(0)
+        d1, _ = ref.run_dijkstra(last)
+        assert list(ref._cache) == [0, last]
+        monkeypatch.setattr(qhyp, "DIJKSTRA_CACHE_BYTES",
+                            2 * (d0.nbytes + pred0.nbytes) - 1)
+        s = qhyp.GeodesicSolver(disk)
+        assert np.array_equal(s.run_dijkstra(0)[0], d0)
+        assert list(s._cache) == [0]
+        assert np.array_equal(s.run_dijkstra(last)[0], d1)
+        assert list(s._cache) == [last]
+        assert np.array_equal(s.run_dijkstra(0)[0], d0)
+        assert list(s._cache) == [0]
