@@ -8,7 +8,8 @@ The Whitney sweep needs three vectorized answers about a domain D:
 
 The third one is what makes the dyadic selection rule sharp: for circles it
 reduces to corner evaluations, for polygons to box-to-segment distances, both
-closed form.
+closed form.  The polygon point oracle uses geometry's point-segment kernel;
+only cubes use the box kernel.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Polygon, _polygon_signed_area, points_in_polygon
+from .geometry import (Polygon, _polygon_signed_area, points_in_polygon,
+                       polygon_boundary_distance, sample_polygon_boundary)
 
 __all__ = ["Domain", "DiskDomain", "PolygonDomain", "equilateral_triangle_domain",
            "comb_domain"]
@@ -184,20 +186,10 @@ class PolygonDomain(Domain):
         return points_in_polygon(np.atleast_2d(pts), self.vertices)
 
     def boundary_distance(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        ax, ay, bx, by = self._edges()
-        out = np.empty(len(pts))
-        chunk = max(2_000_000 // max(len(ax), 1), 1)
-        for lo in range(0, len(pts), chunk):
-            sl = slice(lo, min(lo + chunk, len(pts)))
-            out[sl] = _box_segment_distance(
-                pts[sl, 0], pts[sl, 1], np.zeros(sl.stop - sl.start),
-                ax, ay, bx, by).min(axis=1)
-        return out
+        return polygon_boundary_distance(pts, self.vertices)
 
     def cube_boundary_distance(self, cx, cy, half) -> np.ndarray:
-        ax, ay, bx, by = self._edges()
-        return _box_segment_distance(cx, cy, half, ax, ay, bx, by).min(axis=1)
+        return _box_segment_distance(cx, cy, half, *self._edges()).min(axis=1)
 
     def cube_boundary_distance_capped(self, cx, cy, half, cap) -> np.ndarray:
         """Per-edge bounding-box prefilter; exact for distances up to ``cap``.
@@ -236,8 +228,6 @@ class PolygonDomain(Domain):
         return abs(_polygon_signed_area(self.vertices))
 
     def boundary_points(self, n: int) -> np.ndarray:
-        from .geometry import sample_polygon_boundary
-
         return sample_polygon_boundary(self.vertices, n)
 
 

@@ -288,22 +288,33 @@ def points_in_polygon(pts: np.ndarray, vertices: np.ndarray) -> np.ndarray:
 
 
 def segment_distance(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distances from points to the segments [a_i, b_i], broadcast (n, m)."""
+    """Distances from points (n, 2) to segments [a_i, b_i] (m, 2), shape (n, m)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    ab = b - a  # (m,2)
-    ap = pts[:, None, :] - a[None, :, :]  # (n,m,2)
-    denom = np.sum(ab * ab, axis=1)  # (m,)
+    px, py = pts[:, :1], pts[:, 1:2]
+    ax, ay = a[:, 0], a[:, 1]
+    ex, ey = b[:, 0] - ax, b[:, 1] - ay
+    denom = ex * ex + ey * ey
     denom = np.where(denom < 1e-300, 1.0, denom)
-    t = np.clip(np.sum(ap * ab[None, :, :], axis=2) / denom[None, :], 0.0, 1.0)
-    proj = a[None, :, :] + t[:, :, None] * ab[None, :, :]
-    return np.hypot(pts[:, None, 0] - proj[:, :, 0], pts[:, None, 1] - proj[:, :, 1])
+    t = np.clip(((px - ax) * ex + (py - ay) * ey) / denom, 0.0, 1.0)
+    return np.hypot(px - (ax + t * ex), py - (ay + t * ey))
+
+
+# (point, edge) pairs per block: bounds polygon_boundary_distance's temporaries
+POINT_SEGMENT_CHUNK = 1 << 16
 
 
 def polygon_boundary_distance(pts: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """Distance from every point (n, 2) to the polygon boundary, shape (n,)."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
     v = np.asarray(vertices, dtype=float)
-    return segment_distance(pts, v, np.roll(v, -1, axis=0)).min(axis=1)
+    w = np.roll(v, -1, axis=0)
+    step = max(POINT_SEGMENT_CHUNK // len(v), 1)
+    out = np.empty(len(pts))
+    for lo in range(0, len(pts), step):
+        out[lo:lo + step] = segment_distance(pts[lo:lo + step], v, w).min(axis=1)
+    return out
 
 
 def sample_polygon_boundary(vertices: np.ndarray, n: int) -> np.ndarray:

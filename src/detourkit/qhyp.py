@@ -239,8 +239,7 @@ class GeodesicSolver:
         """
         w = self.w
         min_side = float(w.side.min())
-        if float(w.domain.boundary_distance(np.array([[b[0], b[1]]]))[0]) \
-                > 2.0 * min_side:
+        if float(w.domain.boundary_distance(b)[0]) > 2.0 * min_side:
             raise ValueError("target point is not near the domain boundary")
         # the uncovered boundary band is a few selection-scale cubes wide
         reach = 8.0 * 2.0 ** (-w.min_level_cutoff)
@@ -297,7 +296,7 @@ class GeodesicSolver:
         marked[w.chain_cubes(chains)[1]] = True
         idx = np.flatnonzero(marked & np.isfinite(dist))
         khat = leg0 + dist[idx]
-        delta0 = float(w.domain.boundary_distance(np.array([[x0[0], x0[1]]]))[0])
+        delta0 = float(w.domain.boundary_distance(x0)[0])
         logs = np.log(delta0 / w.delta_center[idx])
 
         def c_of(alpha: float) -> float:
@@ -400,7 +399,7 @@ def geodesic_cube_sum(w: WhitneyDecomposition, chain: np.ndarray, beta: float,
     if x0 is None:
         delta0 = float(w.delta_center[chain[0]])
     else:
-        delta0 = float(w.domain.boundary_distance(np.array([[x0[0], x0[1]]]))[0])
+        delta0 = float(w.domain.boundary_distance(x0)[0])
     ref = delta0 ** beta
     return {"sum": total, "reference": ref, "ratio": total / ref, "beta": beta,
             "cubes": int(len(sides))}
