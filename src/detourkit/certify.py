@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .detour import FractalScene, check_exceptional
+from .detour import FractalScene, check_exceptional, near_line
 from .domains import DiskDomain, Domain, PolygonDomain
 from .errors import InvalidShapeError, MissingFitError
 from .fractals import FractalApproximation, staircase_array
@@ -171,9 +171,10 @@ def measure_zero_bound(f: FractalApproximation, line: Line, m: int,
 
     hole_ivs = []
     met_deeper: list[float] = []
-    for comp, lvl in zip(scene.holes, scene.hole_levels):
+    for k in near_line(line, scene.holes.vertices).tolist():
+        comp = scene.holes[k]
         hits = line_component_hits(line, comp)
-        if lvl <= m:
+        if scene.hole_levels[k] <= m:
             hole_ivs.extend(hits)
         elif hits:
             met_deeper.append(float(comp.diameter()))
@@ -374,7 +375,7 @@ def boundary_image_tail(w: WhitneyDecomposition, table: ShadowTable,
 def _hole_geometry(f: FractalApproximation, scene: FractalScene, m: int):
     """(components, levels, diameters, areas) of the holes up to level ``m``."""
     keep = scene.hole_levels <= m
-    comps = [comp for comp, k in zip(scene.holes, keep) if k]
+    comps = scene.holes[:int(keep.sum())]  # hole levels ascend
     diams = []
     areas = []
     for comp in comps:

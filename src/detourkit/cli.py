@@ -147,6 +147,7 @@ def _cmd_qhyp(cfg: RunConfig) -> int:
             "max_residual": None if fit.fit is None else fit.fit.max_residual,
         },
     }
+    shadows = None
     if cfg.samples >= 64:
         table = solver.shadows(x0, cfg.samples)
         lhs, rhs, ratio = solver.shadow_sum_check(table)
@@ -155,10 +156,13 @@ def _cmd_qhyp(cfg: RunConfig) -> int:
         entries = {str(cid): {"samples": [int(i) for i in idx],
                               "s": table.s(cid)}
                    for cid, idx in sorted(table.entries.items())}
-        _write(cfg, "shadows.json", _json_dump(
-            {"basepoint": list(table.basepoint),
-             "n_samples": table.n_samples, "cubes": entries}))
+        shadows = {"basepoint": list(table.basepoint),
+                   "n_samples": table.n_samples, "cubes": entries}
+    # to_boundary raises on a disconnected graph: it runs before the first
+    # write, so that a failed run leaves no partial artifacts behind
     g = solver.to_boundary(x0, domain.boundary_points(max(cfg.samples, 16))[0])
+    if shadows is not None:
+        _write(cfg, "shadows.json", _json_dump(shadows))
     _write(cfg, "geodesic.csv", qhyp.polyline_csv(g.polyline))
     _write(cfg, "qhyp.json", _json_dump(out))
     return 0

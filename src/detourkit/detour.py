@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExceptionalLineError, ResolutionError
-from .fractals import FractalApproximation
+from .errors import ExceptionalLineError, InvalidShapeError, ResolutionError
+from .fractals import FractalApproximation, HoleComponents
 from .geometry import (Interval1D, Line, Polygon, SceneComponent,
                        component_closures_intersect, line_component_hits,
-                       segment_distance)
+                       polygon_line_hits, segment_distance)
 
 VERTEX_TOL = 1e-9
 
@@ -35,55 +35,76 @@ class FractalScene:
 
     Component 0 is the unbounded one; holes are numbered from 1 in removal
     order, and ``hole_levels[k - 1]`` is the removal level of hole k.  Built
-    once per (fractal, level) pair and reused across lines.
+    once per (fractal, level) pair and reused across lines.  ``holes`` is a
+    lazily materialised list: point location reads the flat hole arrays,
+    and a hole's component is built when first asked for.
     """
 
     def __init__(self, f: FractalApproximation, max_level: int | None = None):
         self.fractal = f
         self.max_level = f.max_level if max_level is None else max_level
         self.outer = f.outer_component()
-        self.holes = f.hole_components(self.max_level)
-        self.hole_levels = f.hole_levels(self.max_level)
-        self.components = {0: self.outer}
-        for h in self.holes:
-            self.components[h.index] = h
-        self._hole_tris: list[tuple[np.ndarray, np.ndarray]] = []
+        self.holes = HoleComponents(f, self.max_level)
+        self.hole_levels = self.holes.levels
         if f.kind == "gasket":
-            ids = np.arange(1, len(self.hole_levels) + 1)
-            self._hole_tris = [(f.levels[j].holes, ids[self.hole_levels == j])
-                               for j in range(self.max_level + 1)]
+            # hole i of level j sits in solid i of level j - 1
+            for j in range(1, self.max_level + 1):
+                if len(f.levels[j].holes) != len(f.levels[j - 1].solids):
+                    raise InvalidShapeError(
+                        f"level {j} has {len(f.levels[j].holes)} holes for "
+                        f"{len(f.levels[j - 1].solids)} parent solids")
+            self._first_id = 1 + np.searchsorted(
+                self.hole_levels, np.arange(self.max_level + 1))
 
     def component(self, k: int) -> SceneComponent:
-        return self.components[k]
+        if k == 0:
+            return self.outer
+        if k < 0:
+            raise IndexError(f"component index {k} is negative")
+        return self.holes[k - 1]
 
     def locate(self, pt) -> int | None:
-        """Component index containing ``pt``; None inside the solid set."""
-        p = np.asarray(pt, dtype=float)[None, :]
-        if not self.outer._inside_curve(p, 0.0)[0]:
+        """Component index containing ``pt``; None inside the solid set.
+
+        A hole contains the points strictly inside its boundary curve: the
+        strict triangle test for the gasket, the half-open box that the
+        crossing-number test gives an axis-aligned square for the carpet,
+        and distance below radius - 1e-12 for a circle packing.
+        """
+        p = np.asarray(pt, dtype=float)
+        if not self.outer._inside_curve(p[None, :], 0.0)[0]:
             return 0
+        x, y = float(p[0]), float(p[1])
         if self.fractal.kind == "gasket":
-            for tris, ids in self._hole_tris:
-                if len(tris) == 0:
-                    continue
-                hit = _point_in_triangles(p[0], tris)
-                if hit >= 0:
-                    return int(ids[hit])
-            return None
-        for comp in self.holes:
-            if comp.contains(p, -1e-12)[0]:
-                return comp.index
+            return self._descend(x, y)
+        if self.holes.vertices is None:
+            ctr = self.holes.centers
+            inside = np.hypot(x - ctr[:, 0], y - ctr[:, 1]) <= self.holes.radii - 1e-12
+        else:
+            lo, hi = self.holes.vertices[:, 0], self.holes.vertices[:, 2]
+            inside = (lo[:, 0] <= x) & (x < hi[:, 0]) & (lo[:, 1] <= y) & (y < hi[:, 1])
+        hits = np.flatnonzero(inside)
+        return int(hits[0]) + 1 if len(hits) else None
+
+    def _descend(self, x: float, y: float) -> int | None:
+        """Gasket location by descent of the nesting tree from the outer
+        triangle: the hole of solid i at level j - 1 is ``levels[j].holes[i]``
+        and its children are solids i, n + i and 2n + i of level j."""
+        levels = self.fractal.levels
+        i = 0
+        for j in range(1, self.max_level + 1):
+            (ax, ay), (bx, by), (cx, cy) = levels[j].holes[i].tolist()
+            d1 = (bx - ax) * (y - ay) - (by - ay) * (x - ax)
+            d2 = (cx - bx) * (y - by) - (cy - by) * (x - bx)
+            d3 = (ax - cx) * (y - cy) - (ay - cy) * (x - cx)
+            if (d1 > 0 and d2 > 0 and d3 > 0) or (d1 < 0 and d2 < 0 and d3 < 0):
+                return int(self._first_id[j]) + i
+            # the hole (ab, bc, ca) is counter-clockwise; within the parent
+            # (a, b, c) the closed half-plane beyond its edge ca-ab is child
+            # (a, ab, ca), beyond ab-bc child (ab, b, bc), else (ca, bc, c)
+            child = 0 if d3 <= 0 else (1 if d1 <= 0 else 2)
+            i += child * len(levels[j - 1].solids)
         return None
-
-
-def _point_in_triangles(pt: np.ndarray, tris: np.ndarray) -> int:
-    """Index of the triangle strictly containing ``pt``, else -1."""
-    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
-    d1 = (b[:, 0] - a[:, 0]) * (pt[1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (pt[0] - a[:, 0])
-    d2 = (c[:, 0] - b[:, 0]) * (pt[1] - b[:, 1]) - (c[:, 1] - b[:, 1]) * (pt[0] - b[:, 0])
-    d3 = (a[:, 0] - c[:, 0]) * (pt[1] - c[:, 1]) - (a[:, 1] - c[:, 1]) * (pt[0] - c[:, 0])
-    inside = ((d1 > 0) & (d2 > 0) & (d3 > 0)) | ((d1 < 0) & (d2 < 0) & (d3 < 0))
-    hits = np.flatnonzero(inside)
-    return int(hits[0]) if len(hits) else -1
 
 
 # ---------------------------------------------------------------------------
@@ -102,29 +123,35 @@ class CoverInterval:
 def solid_components(f: FractalApproximation, level: int) -> list[SceneComponent]:
     """Solids of one level as bounded polygon components (1-based index).
 
-    Cached on the approximation object; the lists are reused heavily by the
-    per-line sweeps.
+    Cached on the approximation object.  The per-line sweeps read the flat
+    arrays of :meth:`FractalApproximation.solid_polygons` instead.
     """
     cache = getattr(f, "_solid_component_cache", None)
     if cache is None:
         cache = {}
         object.__setattr__(f, "_solid_component_cache", cache)
-    if level in cache:
-        return cache[level]
-    if f.kind == "gasket":
-        tris = f.levels[level].solids
-        out = [SceneComponent(i + 1, Polygon(t)) for i, t in enumerate(tris)]
-    elif f.kind == "carpet":
-        corners, side = f.solid_squares(level)
-        out = []
-        for i, (x0, y0) in enumerate(corners):
-            sq = np.array([[x0, y0], [x0 + side, y0],
-                           [x0 + side, y0 + side], [x0, y0 + side]])
-            out.append(SceneComponent(i + 1, Polygon(sq)))
-    else:
-        raise ValueError(f"no polygonal solids for kind {f.kind!r}")
-    cache[level] = out
-    return out
+    if level not in cache:
+        cache[level] = [SceneComponent(i + 1, Polygon(v))
+                        for i, v in enumerate(f.solid_polygons(level))]
+    return cache[level]
+
+
+def near_line(line: Line, polys: np.ndarray, tol: float = VERTEX_TOL) -> np.ndarray:
+    """Indices of the polygons (n, k, 2) that may meet the line: a superset
+    of those the exact hit test (:func:`geometry.polygon_line_hits`) finds.
+
+    A polygon is dropped when all its vertices lie on one side of the line
+    beyond a margin.  An edge hit is a point of the line at edge parameter
+    s within [-tol / scale, 1 + tol / scale] (scale >= 1, edge length
+    <= 2 sqrt2 scale), so it lies within 2 sqrt2 tol of the edge; a margin
+    of 1000 times the larger of ``tol`` and ``VERTEX_TOL`` leaves room for
+    that and for rounding.
+    """
+    margin = 1e3 * max(tol, VERTEX_TOL)
+    nx, ny = line.normal
+    side = polys[:, :, 0] * nx + polys[:, :, 1] * ny - line.offset
+    return np.flatnonzero((side.min(axis=1) <= margin)
+                          & (side.max(axis=1) >= -margin))
 
 
 def interval_cover(line: Line, f: FractalApproximation, level: int,
@@ -133,12 +160,14 @@ def interval_cover(line: Line, f: FractalApproximation, level: int,
 
     Each interval runs from the first entry into a solid to the last exit
     from that same solid; the sweep then continues with the next solid.  A
-    tangential touch comes back as a degenerate interval with a flag.
+    tangential touch comes back as a degenerate interval with a flag.  Only
+    the solids :func:`near_line` keeps go through the exact hit test.
     """
+    polys = f.solid_polygons(level)
     hits: list[CoverInterval] = []
-    for comp in solid_components(f, level):
-        for iv in line_component_hits(line, comp, tol):
-            hits.append(CoverInterval(iv, comp.index - 1, iv.degenerate))
+    for i in near_line(line, polys, tol).tolist():
+        for iv in polygon_line_hits(line, polys[i], tol):
+            hits.append(CoverInterval(iv, i, iv.degenerate))
     hits.sort(key=lambda h: (h.interval.lo, h.interval.hi))
     out: list[CoverInterval] = []
     cursor = -math.inf
@@ -180,17 +209,12 @@ class DetourReport:
 
 def _fractal_vertices(f: FractalApproximation, level: int) -> np.ndarray:
     """Solid and hole vertices of all levels up to ``level``."""
+    parts = [f.solid_polygons(level).reshape(-1, 2)]
     if f.kind == "gasket":
-        parts = [f.levels[level].solids.reshape(-1, 2)]
         for j in range(level + 1):
             if len(f.levels[j].holes):
                 parts.append(f.levels[j].holes.reshape(-1, 2))
-        return np.vstack(parts)
-    if f.kind == "carpet":
-        corners, side = f.solid_squares(level)
-        offs = np.array([[0, 0], [1, 0], [1, 1], [0, 1]]) * side
-        return (corners[:, None, :] + offs[None, :, :]).reshape(-1, 2)
-    raise ValueError("vertex sets exist for gasket and carpet kinds")
+    return np.vstack(parts)
 
 
 def required_level(f: FractalApproximation, epsilon: float) -> int:
@@ -300,7 +324,7 @@ def detour_path(line: Line, f: FractalApproximation, epsilon: float,
     check_exceptional(line, f, level, tol)
     if scene is None:
         scene = FractalScene(f, level)
-    solids = solid_components(f, level)
+    solids = f.solid_polygons(level)
     cover = interval_cover(line, f, level, tol)
     violations: list[str] = []
 
@@ -337,7 +361,7 @@ def detour_path(line: Line, f: FractalApproximation, epsilon: float,
             arc_margins.append(0.0)
             cursor = iv.hi
             continue
-        poly = solids[cv.solid].shape.vertices
+        poly = solids[cv.solid]
         route = _arc_route(poly, entry, exit_, tol)
         arr = np.asarray(route)
         d2 = (arr[:, None, 0] - arr[None, :, 0]) ** 2 \

@@ -9,7 +9,9 @@ are materialized on demand for the object-level API.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,12 +65,14 @@ class FractalApproximation:
             return len(self.interstices) - 1
         return len(self.levels) - 1
 
-    def solid_squares(self, level: int) -> tuple[np.ndarray, float]:
-        """Lower-left corners (n, 2) and common side of the carpet solids."""
-        if self.kind != "carpet":
-            raise ValueError("solid_squares is only defined for the carpet")
-        side = 3.0 ** (-level)
-        return self.levels[level].solids * side, side
+    def solid_polygons(self, level: int) -> np.ndarray:
+        """Counter-clockwise vertex arrays (n, k, 2) of the solids of a level:
+        triangles for the gasket, squares for the carpet."""
+        if self.kind == "gasket":
+            return self.levels[level].solids
+        if self.kind == "carpet":
+            return _squares(self.levels[level].solids, level)
+        raise ValueError(f"no polygonal solids for kind {self.kind!r}")
 
     def n_solids(self, level: int) -> int:
         if self.kind == "apollonian":
@@ -87,14 +91,7 @@ class FractalApproximation:
     def hole_components(self, max_level: int | None = None) -> list[SceneComponent]:
         """Scene components for all holes through ``max_level``, indexed from
         1 in removal order; :meth:`outer_component` supplies index 0."""
-        out: list[SceneComponent] = []
-        top = self.max_level if max_level is None else max_level
-        idx = 1
-        for j in range(top + 1):
-            for comp in self._holes_at(j, idx):
-                out.append(comp)
-                idx += 1
-        return out
+        return list(HoleComponents(self, max_level))
 
     def hole_levels(self, max_level: int | None = None) -> np.ndarray:
         """Removal level of every hole through ``max_level``: entry k - 1
@@ -102,26 +99,6 @@ class FractalApproximation:
         top = self.max_level if max_level is None else max_level
         return np.repeat(np.arange(top + 1),
                          [self.n_holes_at(j) for j in range(top + 1)])
-
-    def _holes_at(self, level: int, start_index: int) -> list[SceneComponent]:
-        comps: list[SceneComponent] = []
-        if self.kind == "gasket":
-            for i, tri in enumerate(self.levels[level].holes):
-                comps.append(SceneComponent(start_index + i, Polygon(tri)))
-        elif self.kind == "carpet":
-            side = 3.0 ** (-level)
-            for i, (ix, iy) in enumerate(self.levels[level].holes):
-                x0, y0 = ix * side, iy * side
-                sq = np.array([[x0, y0], [x0 + side, y0],
-                               [x0 + side, y0 + side], [x0, y0 + side]])
-                comps.append(SceneComponent(start_index + i, Polygon(sq)))
-        else:
-            c = self.circles
-            sel = np.flatnonzero((c.levels == level) & ~c.enclosing)
-            for i, k in enumerate(sel):
-                circle = Circle(Point(*c.centers[k]), float(c.radii[k]))
-                comps.append(SceneComponent(start_index + i, circle))
-        return comps
 
     def outer_component(self) -> SceneComponent:
         """The unbounded complementary component, index 0."""
@@ -169,9 +146,66 @@ class FractalApproximation:
         return float(d.max())
 
 
+class HoleComponents(Sequence):
+    """The holes through one level as a lazily materialised list.
+
+    Position k - 1 holds hole k.  The geometry stays in flat arrays in hole
+    order: ``vertices`` (H, k, 2) for the gasket and carpet, ``centers`` and
+    ``radii`` for a circle packing (``vertices`` is then None).  A
+    :class:`SceneComponent` is built the first time its position is read and
+    memoised, so a scene pays only for the holes a query touches.
+    """
+
+    def __init__(self, f: FractalApproximation, max_level: int | None = None):
+        top = f.max_level if max_level is None else max_level
+        self.levels = f.hole_levels(top)
+        self.vertices: np.ndarray | None = None
+        if f.kind == "apollonian":
+            c = f.circles
+            sel = np.flatnonzero(~c.enclosing & (c.levels <= top))
+            ids = sel[np.argsort(c.levels[sel], kind="stable")]
+            self.centers, self.radii = c.centers[ids], c.radii[ids]
+        elif f.kind == "gasket":
+            self.vertices = np.concatenate(
+                [f.levels[j].holes for j in range(top + 1)])
+        else:
+            self.vertices = np.concatenate(
+                [_squares(f.levels[j].holes, j) for j in range(top + 1)])
+        self._built: dict[int, SceneComponent] = {}
+
+    def __len__(self) -> int:
+        return len(self.levels)
+
+    def __getitem__(self, pos):
+        if isinstance(pos, slice):
+            return [self[i] for i in range(*pos.indices(len(self)))]
+        pos = operator.index(pos)
+        if pos < 0:
+            pos += len(self)
+        if not 0 <= pos < len(self):
+            raise IndexError(f"hole position {pos} out of range")
+        comp = self._built.get(pos)
+        if comp is None:
+            if self.vertices is None:
+                shape = Circle(Point(*self.centers[pos]), float(self.radii[pos]))
+            else:
+                shape = Polygon(self.vertices[pos])
+            comp = self._built[pos] = SceneComponent(pos + 1, shape)
+        return comp
+
+
 # ---------------------------------------------------------------------------
 # gasket and carpet
 # ---------------------------------------------------------------------------
+
+_UNIT_SQUARE = np.array([[0, 0], [1, 0], [1, 1], [0, 1]])
+
+
+def _squares(cells: np.ndarray, level: int) -> np.ndarray:
+    """Counter-clockwise vertices (n, 4, 2) of carpet cells of a level."""
+    side = 3.0 ** (-level)
+    return (cells * side)[:, None, :] + _UNIT_SQUARE[None, :, :] * side
+
 
 def gasket_levels(m: int) -> FractalApproximation:
     """Triangle fractal approximation down to level ``m``.

@@ -395,8 +395,12 @@ def _line_region_hits(line: Line, c: SceneComponent, tol: float) -> list[Interva
             return [Interval1D(t0, t0)]
         half = math.sqrt(max(r * r - d * d, 0.0))
         return [Interval1D(t0 - half, t0 + half)]
+    return polygon_line_hits(line, c.shape.vertices, tol)
 
-    v = c.shape.vertices
+
+def polygon_line_hits(line: Line, v: np.ndarray, tol: float = TOL) -> list[Interval1D]:
+    """Hits of the closed region of the simple polygon with vertex array
+    ``v`` (k, 2); tangency is reported as a degenerate interval."""
     if len(v) < 3:
         raise InvalidShapeError("degenerate polygon")
     d = np.asarray(line.direction)

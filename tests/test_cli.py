@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from detourkit.cli import main
@@ -53,6 +54,12 @@ class TestWhitneyAndQhyp:
         geo = (tmp_path / "geodesic.csv").read_text().splitlines()
         assert geo[0] == "x,y"
 
+    def test_qhyp_failure_leaves_no_artifacts(self, tmp_path):
+        # the comb's graph is disconnected at cutoff 9, so the boundary
+        # geodesic fails after the fit and the shadows have succeeded
+        assert run(tmp_path, "qhyp", "--scene", "comb", "--cutoff", "9") == 1
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestDetourCommand:
     def test_end_to_end(self, tmp_path):
@@ -74,6 +81,26 @@ class TestDetourCommand:
                          "--output-dir", str(out)]) == 0
         assert (a / "detour.json").read_bytes() == (b / "detour.json").read_bytes()
         assert (a / "detour.csv").read_bytes() == (b / "detour.csv").read_bytes()
+
+
+class TestGoldenArtifacts:
+    # SHA-256 of the artifacts of a fixed-seed gasket-8 run; a change to the
+    # fractal-side algorithms must leave these bytes as they are
+    DIGESTS = {
+        "detour.json":
+            "bc1d203af3c4ebd27bf88de598075a6bc49bd5f4c1d7e87a36eba2c3c72fa6ff",
+        "certificate_measure-zero.json":
+            "fcc41aabae41ace2ccd8469906c765253431aa5584ffc974c0b1f8204d8d5cb9",
+    }
+
+    def test_gasket8_digests(self, tmp_path):
+        assert run(tmp_path, "detour", "--scene", "gasket", "--levels", "8",
+                   "--epsilon", "0.01", "--lines", "6", "--seed", "11") == 0
+        assert run(tmp_path, "certify", "--scene", "gasket", "--levels", "8",
+                   "--what", "measure-zero", "--m", "4", "--seed", "11") == 0
+        for name, digest in self.DIGESTS.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() \
+                == digest, name
 
 
 class TestCertifyAndCarpet:

@@ -5,10 +5,102 @@ import pytest
 
 from detourkit import detour as dt
 from detourkit.errors import ExceptionalLineError, ResolutionError
-from detourkit.fractals import carpet_levels, gasket_levels
-from detourkit.geometry import Line
+from detourkit.fractals import (TangentCircleTriple, apollonian, carpet_levels,
+                                gasket_levels)
+from detourkit.geometry import Line, line_component_hits
 
 SQRT3 = math.sqrt(3.0)
+
+
+# ---------------------------------------------------------------------------
+# reference algorithms: the per-solid and per-hole scans that the array
+# queries of the scene replace, kept here to check them against
+# ---------------------------------------------------------------------------
+
+def reference_interval_cover(line, f, level, tol=dt.VERTEX_TOL):
+    """interval_cover as a line_component_hits scan over every solid."""
+    hits = []
+    for comp in dt.solid_components(f, level):
+        for iv in line_component_hits(line, comp, tol):
+            hits.append(dt.CoverInterval(iv, comp.index - 1, iv.degenerate))
+    hits.sort(key=lambda h: (h.interval.lo, h.interval.hi))
+    out = []
+    cursor = -math.inf
+    for h in hits:
+        if h.interval.lo < cursor - tol:
+            continue
+        out.append(h)
+        cursor = max(cursor, h.interval.hi)
+    return out
+
+
+def _first_strictly_inside(pt, tris):
+    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+    d1 = (b[:, 0] - a[:, 0]) * (pt[1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (pt[0] - a[:, 0])
+    d2 = (c[:, 0] - b[:, 0]) * (pt[1] - b[:, 1]) - (c[:, 1] - b[:, 1]) * (pt[0] - b[:, 0])
+    d3 = (a[:, 0] - c[:, 0]) * (pt[1] - c[:, 1]) - (a[:, 1] - c[:, 1]) * (pt[0] - c[:, 0])
+    inside = ((d1 > 0) & (d2 > 0) & (d3 > 0)) | ((d1 < 0) & (d2 < 0) & (d3 < 0))
+    hits = np.flatnonzero(inside)
+    return int(hits[0]) if len(hits) else -1
+
+
+def reference_locate(scene, pts):
+    """FractalScene.locate as a linear scan, for an array of points: the
+    outer test, then the hole triangles level by level for the gasket, or
+    every hole component in index order otherwise; -1 stands for None."""
+    pts = np.asarray(pts, dtype=float)
+    out = np.where(scene.outer._inside_curve(pts, 0.0), -1, 0)
+    f = scene.fractal
+    if f.kind == "gasket":
+        ids = np.arange(1, len(scene.hole_levels) + 1)
+        for n in np.flatnonzero(out == -1):
+            for j in range(scene.max_level + 1):
+                if len(f.levels[j].holes) == 0:
+                    continue
+                hit = _first_strictly_inside(pts[n], f.levels[j].holes)
+                if hit >= 0:
+                    out[n] = ids[scene.hole_levels == j][hit]
+                    break
+        return out
+    for comp in scene.holes:
+        todo = out == -1
+        out[todo & comp.contains(pts, -1e-12)] = comp.index
+    return out
+
+
+def edge_owner_probes(polys):
+    """The two points _edge_owner probes beside every edge of the polygons."""
+    a = polys.reshape(-1, 2)
+    b = np.roll(polys, -1, axis=1).reshape(-1, 2)
+    mid = (a + b) / 2.0
+    t = b - a
+    norm = np.hypot(t[:, 0], t[:, 1])
+    nrm = np.column_stack([t[:, 1], -t[:, 0]]) / norm[:, None]
+    off = np.maximum(norm * 1e-6, 1e-12)[:, None] * nrm
+    return np.vstack([mid + off, mid - off])
+
+
+def cover_lines(f, rng):
+    """Seeded lines, lines through solid vertices, lines touching a solid
+    at one vertex only, and lines along solid edges."""
+    lines = [Line((math.cos(th), math.sin(th)), float(off))
+             for th, off in zip(rng.uniform(0.0, math.pi, 6),
+                                rng.uniform(-0.1, 1.0, 6))]
+    deep = f.solid_polygons(f.max_level)
+    for v in deep[rng.choice(len(deep), 3, replace=False), 0]:
+        lines.append(Line.horizontal(float(v[1])))
+        lines.append(Line((1.0, 1.0), (v[1] - v[0]) / math.sqrt(2.0)))
+    if f.kind == "gasket":
+        top = deep[:, 2]  # apex of every solid: its horizontal touches it once
+        lines.append(Line.horizontal(float(top[len(top) // 2, 1])))
+        lines.append(Line((0.5, SQRT3 / 2.0), 0.0))  # along the left edge
+        lines.append(Line.horizontal(0.0))           # along the bottom edge
+    else:
+        corner = deep[len(deep) // 3, 2]  # upper-right corner, diagonal touch
+        lines.append(Line((1.0, -1.0), (corner[0] + corner[1]) / math.sqrt(2.0)))
+        lines.append(Line.vertical(1.0 / 3.0))        # along solid edges
+        lines.append(Line.horizontal(1.0))
+    return lines
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +114,18 @@ def scene6(gasket6):
 
 
 class TestScene:
+    def test_holes_built_lazily_and_memoised(self, gasket6):
+        scene = dt.FractalScene(gasket6)
+        assert len(scene.holes) == (3 ** 6 - 1) // 2
+        assert not scene.holes._built
+        comp = scene.component(7)
+        assert scene.component(7) is comp
+        assert list(scene.holes._built) == [6]
+        eager = gasket6.hole_components()
+        assert [c.index for c in scene.holes] == [c.index for c in eager]
+        assert all(np.array_equal(a.shape.vertices, b.shape.vertices)
+                   for a, b in zip(scene.holes, eager))
+
     def test_gasket_hole_ids_follow_levels(self, gasket6, scene6):
         # locate derives its gasket hole ids from hole_levels; the centroid
         # of every level-j hole triangle must come back as a level-j hole
@@ -32,6 +136,69 @@ class TestScene:
                 assert scene6.hole_levels[k - 1] == j
                 shape = scene6.component(k).shape.vertices
                 assert sorted(map(tuple, shape)) == sorted(map(tuple, tri))
+
+
+class TestArrayQueriesMatchScans:
+    """The array-backed scene queries return what the scans above return."""
+
+    @pytest.mark.parametrize("make", [lambda: gasket_levels(8),
+                                      lambda: carpet_levels(4)],
+                             ids=["gasket8", "carpet4"])
+    def test_interval_cover_every_level(self, make):
+        f = make()
+        rng = np.random.default_rng(5)
+        lines = cover_lines(f, rng)
+        for level in range(f.max_level + 1):
+            for line in lines:
+                assert dt.interval_cover(line, f, level) \
+                    == reference_interval_cover(line, f, level), (level, line)
+
+    @pytest.mark.parametrize("make", [
+        lambda: gasket_levels(8), lambda: carpet_levels(4),
+        lambda: apollonian(TangentCircleTriple.three_unit(), 0.05)],
+        ids=["gasket8", "carpet4", "apollonian"])
+    def test_locate(self, make):
+        f = make()
+        scene = dt.FractalScene(f)
+        x0, y0, x1, y1 = scene.outer.bbox()
+        rng = np.random.default_rng(8)
+        pts = [rng.uniform((x0 - 0.1, y0 - 0.1), (x1 + 0.1, y1 + 0.1), (2000, 2))]
+        if f.kind == "apollonian":
+            ctr, r = scene.holes.centers, scene.holes.radii
+            # 1 - 1e-13 lies within the 1e-12 by which a hole is shrunk
+            for s in (1 - 1e-6, 1 - 1e-13, 1 + 1e-6):
+                pts.append(ctr + r[:, None] * s * np.array([0.6, 0.8]))
+            pts.append(ctr)
+        else:
+            holes = scene.holes.vertices
+            some = holes[rng.choice(len(holes), min(len(holes), 400), replace=False)]
+            for polys in (f.solid_polygons(2), f.solid_polygons(f.max_level - 3), some):
+                pts.append(edge_owner_probes(polys))
+            # hole vertices and edge midpoints lie exactly on hole boundaries
+            pts += [holes.mean(axis=1), some.reshape(-1, 2),
+                    ((some + np.roll(some, -1, axis=1)) / 2.0).reshape(-1, 2)]
+        pts = np.vstack(pts)
+        found = [scene.locate(p) for p in pts]
+        want = reference_locate(scene, pts)
+        assert [-1 if k is None else k for k in found] == want.tolist()
+        assert {k for k in found if k} == set(range(1, len(scene.holes) + 1))
+
+    @pytest.mark.parametrize("make", [lambda: gasket_levels(6),
+                                      lambda: carpet_levels(3)],
+                             ids=["gasket6", "carpet3"])
+    def test_near_line_keeps_every_hole_hit(self, make):
+        # the measure-zero certificate runs the exact test on these only
+        scene = dt.FractalScene(make())
+        rng = np.random.default_rng(9)
+        lines = [Line((math.cos(th), math.sin(th)), float(off))
+                 for th, off in zip(rng.uniform(0.0, math.pi, 8),
+                                    rng.uniform(-0.5, 2.0, 8))]
+        lines += [Line.horizontal(0.5), Line.vertical(1.0 / 3.0)]
+        for line in lines:
+            near = set(dt.near_line(line, scene.holes.vertices).tolist())
+            hit = {k for k, comp in enumerate(scene.holes)
+                   if line_component_hits(line, comp)}
+            assert hit <= near
 
 
 class TestIntervalCover:

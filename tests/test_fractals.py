@@ -16,6 +16,17 @@ from detourkit.geometry import Circle, Point, SceneComponent
 SQRT3 = math.sqrt(3.0)
 
 
+def _point_in_triangles(pt: np.ndarray, tris: np.ndarray) -> int:
+    """Index of the first triangle strictly containing ``pt``, else -1."""
+    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+    d1 = (b[:, 0] - a[:, 0]) * (pt[1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (pt[0] - a[:, 0])
+    d2 = (c[:, 0] - b[:, 0]) * (pt[1] - b[:, 1]) - (c[:, 1] - b[:, 1]) * (pt[0] - b[:, 0])
+    d3 = (a[:, 0] - c[:, 0]) * (pt[1] - c[:, 1]) - (a[:, 1] - c[:, 1]) * (pt[0] - c[:, 0])
+    inside = ((d1 > 0) & (d2 > 0) & (d3 > 0)) | ((d1 < 0) & (d2 < 0) & (d3 < 0))
+    hits = np.flatnonzero(inside)
+    return int(hits[0]) if len(hits) else -1
+
+
 class TestGasket:
     def test_level_one_matches_construction(self):
         # one subdivision: 3 solid triangles of side 1/2, the middle removed
@@ -65,16 +76,12 @@ class TestGasket:
         tris = g.levels[4].solids
         centers = tris.mean(axis=1)
         # no solid centroid falls inside any other solid
-        from detourkit.detour import _point_in_triangles
-
         for i, c in enumerate(centers):
             others = np.delete(tris, i, axis=0)
             assert _point_in_triangles(c, others) == -1
 
     def test_holes_inside_parent_solids(self):
         g = gasket_levels(3)
-        from detourkit.detour import _point_in_triangles
-
         for m in range(1, 4):
             holes = g.levels[m].holes
             parents = g.levels[m - 1].solids
