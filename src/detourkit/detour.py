@@ -19,9 +19,10 @@ import numpy as np
 
 from .errors import ExceptionalLineError, InvalidShapeError, ResolutionError
 from .fractals import FractalApproximation, HoleComponents
-from .geometry import (Interval1D, Line, Polygon, SceneComponent,
-                       component_closures_intersect, line_component_hits,
-                       polygon_line_hits, segment_distance)
+from .geometry import (POINT_SEGMENT_CHUNK, Interval1D, Line, Polygon,
+                       SceneComponent, component_closures_intersect,
+                       line_component_hits, polygon_line_hits,
+                       segment_distance)
 
 VERTEX_TOL = 1e-9
 
@@ -64,27 +65,49 @@ class FractalScene:
         return self.holes[k - 1]
 
     def locate(self, pt) -> int | None:
-        """Component index containing ``pt``; None inside the solid set.
+        """Component index containing ``pt``; None inside the solid set."""
+        return self.locate_many(np.asarray(pt, dtype=float)[None, :])[0]
+
+    def locate_many(self, pts) -> list[int | None]:
+        """Component index containing each point (n, 2); None inside the
+        solid set.
 
         A hole contains the points strictly inside its boundary curve: the
         strict triangle test for the gasket, the half-open box that the
         crossing-number test gives an axis-aligned square for the carpet,
-        and distance below radius - 1e-12 for a circle packing.
+        and distance below radius - 1e-12 for a circle packing.  The outer
+        curve is tested for all points in one call; the gasket then descends
+        its tree per point, the carpet and the packing test blocks of points
+        against every hole.
         """
-        p = np.asarray(pt, dtype=float)
-        if not self.outer._inside_curve(p[None, :], 0.0)[0]:
-            return 0
-        x, y = float(p[0]), float(p[1])
+        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+        out: list[int | None] = [0] * len(pts)
+        inner = np.flatnonzero(self.outer._inside_curve(pts, 0.0))
         if self.fractal.kind == "gasket":
-            return self._descend(x, y)
-        if self.holes.vertices is None:
-            ctr = self.holes.centers
-            inside = np.hypot(x - ctr[:, 0], y - ctr[:, 1]) <= self.holes.radii - 1e-12
-        else:
-            lo, hi = self.holes.vertices[:, 0], self.holes.vertices[:, 2]
-            inside = (lo[:, 0] <= x) & (x < hi[:, 0]) & (lo[:, 1] <= y) & (y < hi[:, 1])
-        hits = np.flatnonzero(inside)
-        return int(hits[0]) + 1 if len(hits) else None
+            for n, (x, y) in zip(inner.tolist(), pts[inner].tolist()):
+                out[n] = self._descend(x, y)
+            return out
+        for n in inner.tolist():
+            out[n] = None
+        if not len(self.holes):
+            return out
+        rows = max(POINT_SEGMENT_CHUNK // len(self.holes), 1)
+        for lo in range(0, len(inner), rows):
+            idx = inner[lo:lo + rows]
+            x, y = pts[idx, :1], pts[idx, 1:]
+            if self.holes.vertices is None:
+                ctr = self.holes.centers
+                inside = np.hypot(x - ctr[:, 0], y - ctr[:, 1]) <= self.holes.radii - 1e-12
+            else:
+                low, high = self.holes.vertices[:, 0], self.holes.vertices[:, 2]
+                inside = ((low[:, 0] <= x) & (x < high[:, 0])
+                          & (low[:, 1] <= y) & (y < high[:, 1]))
+            first = inside.argmax(axis=1)
+            for n, k, hit in zip(idx.tolist(), first.tolist(),
+                                 inside[np.arange(len(idx)), first].tolist()):
+                if hit:
+                    out[n] = k + 1
+        return out
 
     def _descend(self, x: float, y: float) -> int | None:
         """Gasket location by descent of the nesting tree from the outer
@@ -105,6 +128,94 @@ class FractalScene:
             child = 0 if d3 <= 0 else (1 if d1 <= 0 else 2)
             i += child * len(levels[j - 1].solids)
         return None
+
+    # -- array queries over the flat hole arrays ------------------------------
+    # Each one equals, bit for bit, the per-component SceneComponent query it
+    # replaces: per (point, hole) pair the kernels below run the same float
+    # operations as geometry.segment_distance and geometry.points_in_polygon.
+
+    def _hole_planes(self, px, py, pos, tol: float):
+        """Boundary distance of the points (``px``, ``py``) to the holes at
+        0-based positions ``pos``, broadcast against each other, and the
+        holes' closed containment of the points within ``tol``."""
+        h = self.holes
+        if h.vertices is None:
+            ctr, r = h.centers[pos], h.radii[pos]
+            d = np.hypot(px - ctr[..., 0], py - ctr[..., 1])
+            return np.abs(d - r), d <= r + tol
+        v = h.vertices[pos]
+        px, py = px[..., None], py[..., None]
+        d = _edge_distance(px, py, v)
+        return d, _crossing_parity(px, py, v) | (d <= tol)
+
+    def pair_boundary_distance(self, pts, ks) -> np.ndarray:
+        """Distance from ``pts[i]`` to the boundary curve of component
+        ``ks[i]``, shape (n,): ``component(ks[i]).boundary_distance``."""
+        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+        ks = np.asarray(ks, dtype=np.intp)
+        out = np.empty(len(ks))
+        outer = ks == 0
+        out[outer] = self.outer.boundary_distance(pts[outer])
+        held = ~outer
+        out[held] = self._hole_planes(pts[held, 0], pts[held, 1],
+                                      ks[held] - 1, 0.0)[0]
+        return out
+
+    def coverage_distance(self, pts, ks, tol: float = VERTEX_TOL) -> np.ndarray:
+        """Distance from each point (n, 2) to the union of the closed regions
+        of the components ``ks``, shape (n,): the minimum over ``ks`` of
+        ``component(k).region_distance(pts, tol)``."""
+        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+        ks = np.asarray(ks, dtype=np.intp)
+        out = np.full(len(pts), np.inf)
+        if np.any(ks == 0):
+            out = self.outer.region_distance(pts, tol)
+        pos = ks[ks > 0] - 1
+        if not len(pos):
+            return out
+        edges = 1 if self.holes.vertices is None else self.holes.vertices.shape[1]
+        rows = max(POINT_SEGMENT_CHUNK // (len(pos) * edges), 1)
+        for lo in range(0, len(pts), rows):
+            blk = pts[lo:lo + rows]
+            d, inside = self._hole_planes(blk[:, :1], blk[:, 1:], pos, tol)
+            out[lo:lo + rows] = np.minimum(
+                out[lo:lo + rows], np.where(inside, 0.0, d).min(axis=1))
+        return out
+
+    def hole_boxes(self, ks) -> np.ndarray:
+        """Bounding boxes (x0, y0, x1, y1) of the holes ``ks``, shape (n, 4)."""
+        pos = np.asarray(ks, dtype=np.intp) - 1
+        h = self.holes
+        if h.vertices is None:
+            ctr, r = h.centers[pos], h.radii[pos, None]
+            return np.hstack([ctr - r, ctr + r])
+        v = h.vertices[pos]
+        return np.hstack([v.min(axis=1), v.max(axis=1)])
+
+
+def _edge_distance(px, py, v: np.ndarray) -> np.ndarray:
+    """Distance from points to polygon boundaries, broadcast: ``px``, ``py``
+    (..., 1) against vertex arrays ``v`` (..., k, 2), minimum over the k
+    edges.  Per (point, edge) pair: :func:`geometry.segment_distance`."""
+    ax, ay = v[..., 0], v[..., 1]
+    w = np.roll(v, -1, axis=-2)
+    ex, ey = w[..., 0] - ax, w[..., 1] - ay
+    denom = ex * ex + ey * ey
+    denom = np.where(denom < 1e-300, 1.0, denom)
+    t = np.clip(((px - ax) * ex + (py - ay) * ey) / denom, 0.0, 1.0)
+    return np.hypot(px - (ax + t * ex), py - (ay + t * ey)).min(axis=-1)
+
+
+def _crossing_parity(px, py, v: np.ndarray) -> np.ndarray:
+    """Strict crossing-number containment, broadcast as in
+    :func:`_edge_distance`.  Per pair: :func:`geometry.points_in_polygon`."""
+    x1, y1 = v[..., 0], v[..., 1]
+    w = np.roll(v, -1, axis=-2)
+    x2, y2 = w[..., 0], w[..., 1]
+    cond = (y1 > py) != (y2 > py)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xin = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
+    return np.sum(cond & (px < xin), axis=-1) % 2 == 1
 
 
 # ---------------------------------------------------------------------------
@@ -238,14 +349,6 @@ def check_exceptional(line: Line, f: FractalApproximation, level: int,
             f"line passes within {d[j]:.2e} of vertex ({verts[j, 0]}, {verts[j, 1]})")
 
 
-def _edge_index(poly: np.ndarray, p: np.ndarray, tol: float) -> int:
-    d = segment_distance(p[None, :], poly, np.roll(poly, -1, axis=0))[0]
-    j = int(np.argmin(d))
-    if d[j] > 100 * tol:
-        raise RuntimeError(f"point not on polygon boundary (distance {d[j]:.2e})")
-    return j
-
-
 def _arc_route(poly: np.ndarray, entry: np.ndarray, exit_: np.ndarray,
                tol: float) -> list[np.ndarray]:
     """Boundary route from entry to exit along the smaller-diameter side.
@@ -253,8 +356,11 @@ def _arc_route(poly: np.ndarray, entry: np.ndarray, exit_: np.ndarray,
     Ties go to the counter-clockwise side (polygons are stored CCW).
     """
     n = len(poly)
-    ei = _edge_index(poly, entry, tol)
-    xi = _edge_index(poly, exit_, tol)
+    d = segment_distance(np.vstack([entry, exit_]), poly, np.roll(poly, -1, axis=0))
+    for dj in d.min(axis=1).tolist():
+        if dj > 100 * tol:
+            raise RuntimeError(f"point not on polygon boundary (distance {dj:.2e})")
+    ei, xi = d.argmin(axis=1).tolist()
     if ei == xi:
         return [entry, exit_]
 
@@ -283,31 +389,44 @@ def _arc_route(poly: np.ndarray, entry: np.ndarray, exit_: np.ndarray,
     return ccw if diam(ccw) <= diam(cw) else cw
 
 
-def _edge_owner(scene: FractalScene, a: np.ndarray, b: np.ndarray,
-                tol: float) -> int | None:
-    """Complementary component whose boundary carries the edge [a, b].
+def _locate_path_points(scene: FractalScene, gaps: np.ndarray, a: np.ndarray,
+                        b: np.ndarray, tol: float):
+    """Components of the gap midpoints (n, 2), and the owner of each arc edge
+    [a_i, b_i]: the complementary component whose boundary carries it.
 
-    Probes a hair off the edge midpoint on both sides; the solid side
-    locates nothing (the scene only knows holes up to the working level),
-    while the outward side lands inside the owning open component.  The
-    offset is far above the incidence tolerance and far below any hole size
-    at the working level.
+    An edge's owner is found by probing a hair off its midpoint on both
+    sides; the solid side locates nothing (the scene only knows holes up to
+    the working level), while the outward side lands inside the owning open
+    component, which must then pass within 100 tol + 2 offset of the
+    midpoint.  The side +1 is tried first.  The offset is far above the
+    incidence tolerance and far below any hole size at the working level.
+    An edge shorter than ``tol`` has no owner.  All points are located in
+    one call.  Returns two lists, with None for a point inside the solid
+    set and for an edge without an owner.
     """
     mid = (a + b) / 2.0
     t = b - a
-    norm = math.hypot(t[0], t[1])
-    if norm < tol:
-        return None
-    nrm = np.array([t[1], -t[0]]) / norm
-    eps_out = max(norm * 1e-6, 1e-12)
-    for side in (1.0, -1.0):
-        k = scene.locate(mid + side * eps_out * nrm)
-        if k is None:
-            continue
-        comp = scene.component(k)
-        if float(comp.boundary_distance(mid[None, :])[0]) <= 100 * tol + 2 * eps_out:
-            return k
-    return None
+    norm = np.array([math.hypot(x, y) for x, y in t.tolist()])
+    live = np.flatnonzero(norm >= tol)
+    nrm = np.column_stack([t[live, 1], -t[live, 0]]) / norm[live, None]
+    eps_out = np.maximum(norm[live] * 1e-6, 1e-12)
+    mid = mid[live]
+    off = eps_out[:, None] * nrm
+    found = scene.locate_many(np.vstack([gaps, mid + off, mid - off]))
+    gap_ks = found[:len(gaps)]
+    ks = np.array([-1 if k is None else k for k in found[len(gaps):]],
+                  dtype=np.intp).reshape(2, -1)      # rows: side +1, side -1
+    cand = ks >= 0
+    near = np.zeros_like(cand)
+    lim = np.stack([100 * tol + 2 * eps_out] * 2)
+    near[cand] = scene.pair_boundary_distance(
+        np.stack([mid, mid])[cand], ks[cand]) <= lim[cand]
+    owner = np.where(near[0], ks[0], np.where(near[1], ks[1], -1))
+    owners: list[int | None] = [None] * len(a)
+    for e, k in zip(live.tolist(), owner.tolist()):
+        if k >= 0:
+            owners[e] = k
+    return gap_ks, owners
 
 
 def detour_path(line: Line, f: FractalApproximation, epsilon: float,
@@ -316,7 +435,9 @@ def detour_path(line: Line, f: FractalApproximation, epsilon: float,
     """Construct the corridor path for ``line`` at tolerance ``epsilon``.
 
     Any condition that fails during construction is recorded and the report
-    comes back as a failure instead of a path.
+    comes back as a failure instead of a path.  The walk along the cover
+    records the gap midpoints and the arc edges; their point queries are
+    answered together afterwards, and the violations come out in walk order.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -326,7 +447,6 @@ def detour_path(line: Line, f: FractalApproximation, epsilon: float,
         scene = FractalScene(f, level)
     solids = f.solid_polygons(level)
     cover = interval_cover(line, f, level, tol)
-    violations: list[str] = []
 
     outer = scene.outer
     bx0, by0, bx1, by1 = outer.bbox()
@@ -335,21 +455,19 @@ def detour_path(line: Line, f: FractalApproximation, epsilon: float,
     half_span = 2.0 * max(bx1 - bx0, by1 - by0, 1.0)
     t_lo, t_hi = tmid - half_span, tmid + half_span
 
-    touched: set[int] = set()
     points: list[np.ndarray] = [line.point_at(t_lo)]
     arc_margins: list[float] = []
     cursor = t_lo
+    gap_ts: list[float] = []
+    routes: list[np.ndarray] = []
+    # in walk order: ("gap", gap number), ("arc", solid, route number) or
+    # ("violation", text)
+    events: list[tuple] = []
 
     def mark_gap(a: float, b: float) -> None:
-        if b - a <= tol:
-            return
-        k = scene.locate(line.point_at((a + b) / 2.0))
-        if k is None:
-            violations.append(
-                f"gap midpoint at t={(a + b) / 2.0:.6f} lies inside the "
-                "solid approximation")
-        else:
-            touched.add(k)
+        if b - a > tol:
+            events.append(("gap", len(gap_ts)))
+            gap_ts.append((a + b) / 2.0)
 
     for cv in cover:
         iv = cv.interval
@@ -361,27 +479,48 @@ def detour_path(line: Line, f: FractalApproximation, epsilon: float,
             arc_margins.append(0.0)
             cursor = iv.hi
             continue
-        poly = solids[cv.solid]
-        route = _arc_route(poly, entry, exit_, tol)
-        arr = np.asarray(route)
-        d2 = (arr[:, None, 0] - arr[None, :, 0]) ** 2 \
-            + (arr[:, None, 1] - arr[None, :, 1]) ** 2
+        route = np.asarray(_arc_route(solids[cv.solid], entry, exit_, tol))
+        d2 = (route[:, None, 0] - route[None, :, 0]) ** 2 \
+            + (route[:, None, 1] - route[None, :, 1]) ** 2
         arc_diam = math.sqrt(float(d2.max()))
         arc_margins.append(arc_diam)
         if arc_diam >= epsilon:
-            violations.append(
-                f"replacement arc diameter {arc_diam:.4f} >= epsilon {epsilon}")
-        for a, b in zip(route[:-1], route[1:]):
-            owner = _edge_owner(scene, np.asarray(a), np.asarray(b), tol)
-            if owner is None:
-                violations.append(
-                    f"arc edge of solid {cv.solid} has no complementary owner")
-            else:
-                touched.add(owner)
-        points.extend(np.asarray(p) for p in route[1:])
+            events.append(("violation",
+                           f"replacement arc diameter {arc_diam:.4f} >= epsilon {epsilon}"))
+        events.append(("arc", cv.solid, len(routes)))
+        routes.append(route)
+        points.append(route[1:])
         cursor = iv.hi
     mark_gap(cursor, t_hi)
     points.append(line.point_at(t_hi))
+
+    starts = np.cumsum([0] + [len(r) - 1 for r in routes]).tolist()
+    edge_a = np.vstack([r[:-1] for r in routes] or [np.empty((0, 2))])
+    edge_b = np.vstack([r[1:] for r in routes] or [np.empty((0, 2))])
+    gap_ks, owners = _locate_path_points(
+        scene, line.point_at(np.array(gap_ts)).reshape(-1, 2), edge_a, edge_b, tol)
+
+    touched: set[int] = set()
+    violations: list[str] = []
+    for ev in events:
+        if ev[0] == "violation":
+            violations.append(ev[1])
+        elif ev[0] == "gap":
+            k = gap_ks[ev[1]]
+            if k is None:
+                violations.append(
+                    f"gap midpoint at t={gap_ts[ev[1]]:.6f} lies inside the "
+                    "solid approximation")
+            else:
+                touched.add(k)
+        else:
+            _, solid, r = ev
+            for owner in owners[starts[r]:starts[r + 1]]:
+                if owner is None:
+                    violations.append(
+                        f"arc edge of solid {solid} has no complementary owner")
+                else:
+                    touched.add(owner)
 
     polyline = np.vstack(points)
     haus = float(line.distance_to_points(polyline).max())
@@ -440,12 +579,9 @@ def verify_detour(p: DetourPath, f: FractalApproximation,
     haus = float(p.line.distance_to_points(samples).max())
     hausdorff_ok = haus <= p.epsilon + tol
 
-    comps = [scene.component(k) for k in sorted(p.touched)]
-    if comps:
-        cover = np.full(len(samples), np.inf)
-        for comp in comps:
-            cover = np.minimum(cover, comp.region_distance(samples, tol))
-        coverage_margin = float(cover.max())
+    if p.touched:
+        coverage_margin = float(
+            scene.coverage_distance(samples, sorted(p.touched), tol).max())
     else:
         coverage_margin = math.inf
     coverage_ok = coverage_margin <= 100 * tol
@@ -481,11 +617,28 @@ def group_paths(paths: list[DetourPath], f: FractalApproximation,
     within ``tol`` of a touched component of the other; merging runs to a
     fixpoint.  Each group carries a spanning list of verified closure
     contacts as its connectivity witness.
+
+    Two holes whose bounding boxes lie more than a margin apart in x or y
+    are not touching, without the exact test.  The exact test accepts only
+    a point of one closed region within ``tol`` of the other: a probe point
+    of one (on or inside its curve) inside the other or within ``tol`` of
+    its curve, or boundary curves within ``tol``.  Such points lie in both
+    boxes grown by ``tol``, so the boxes are at most ``tol`` apart, up to
+    the rounding of the distance tests: a few ulps of the coordinates,
+    which are O(1) in every scene.  The margin 2 max(tol, VERTEX_TOL) covers
+    both.
     """
     if scene is None:
         level = max((p.level for p in paths), default=0)
         scene = FractalScene(f, level)
     contact: dict[tuple[int, int], bool] = {}
+    margin = 2.0 * max(tol, VERTEX_TOL)
+    held = sorted({k for p in paths for k in p.touched if k})
+    boxes = dict(zip(held, scene.hole_boxes(held).tolist()))
+
+    def apart(a: int, b: int) -> bool:
+        (ax0, ay0, ax1, ay1), (bx0, by0, bx1, by1) = boxes[a], boxes[b]
+        return max(ax0 - bx1, bx0 - ax1, ay0 - by1, by0 - ay1) > margin
 
     def touching(a: int, b: int) -> bool:
         if a == b:
@@ -493,8 +646,11 @@ def group_paths(paths: list[DetourPath], f: FractalApproximation,
         key = (min(a, b), max(a, b))
         hit = contact.get(key)
         if hit is None:
-            hit = component_closures_intersect(
-                scene.component(a), scene.component(b), tol)
+            if a and b and apart(a, b):
+                hit = False
+            else:
+                hit = component_closures_intersect(
+                    scene.component(a), scene.component(b), tol)
             contact[key] = hit
         return hit
 

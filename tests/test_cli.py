@@ -93,6 +93,17 @@ class TestGoldenArtifacts:
             "fcc41aabae41ace2ccd8469906c765253431aa5584ffc974c0b1f8204d8d5cb9",
     }
 
+    # the failed lines of this carpet run list their violations in the
+    # order detour_path meets them along the line
+    CARPET_DETOUR_DIGEST = \
+        "4edff052cb00c3f9c701c871db459f6309d5d501a02226883658bbb998c037c4"
+
+    def test_carpet4_violation_order(self, tmp_path):
+        assert run(tmp_path, "detour", "--scene", "carpet", "--levels", "4",
+                   "--epsilon", "0.2", "--lines", "4", "--seed", "1") == 2
+        assert hashlib.sha256((tmp_path / "detour.json").read_bytes()).hexdigest() \
+            == self.CARPET_DETOUR_DIGEST
+
     def test_gasket8_digests(self, tmp_path):
         assert run(tmp_path, "detour", "--scene", "gasket", "--levels", "8",
                    "--epsilon", "0.01", "--lines", "6", "--seed", "11") == 0

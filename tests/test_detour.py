@@ -1,13 +1,17 @@
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 from detourkit import detour as dt
+from detourkit.certify import measure_zero_bound
 from detourkit.errors import ExceptionalLineError, ResolutionError
 from detourkit.fractals import (TangentCircleTriple, apollonian, carpet_levels,
                                 gasket_levels)
-from detourkit.geometry import Line, line_component_hits
+from detourkit.geometry import (Line, component_closures_intersect,
+                                line_component_hits)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -78,6 +82,100 @@ def edge_owner_probes(polys):
     nrm = np.column_stack([t[:, 1], -t[:, 0]]) / norm[:, None]
     off = np.maximum(norm * 1e-6, 1e-12)[:, None] * nrm
     return np.vstack([mid + off, mid - off])
+
+
+def reference_edge_owner(scene, a, b, tol=dt.VERTEX_TOL):
+    """The owner of the edge [a, b] by one locate and one component
+    boundary-distance call per probe, as detour_path found it edge by edge."""
+    mid = (a + b) / 2.0
+    t = b - a
+    norm = math.hypot(t[0], t[1])
+    if norm < tol:
+        return None
+    nrm = np.array([t[1], -t[0]]) / norm
+    eps_out = max(norm * 1e-6, 1e-12)
+    for side in (1.0, -1.0):
+        k = scene.locate(mid + side * eps_out * nrm)
+        if k is None:
+            continue
+        comp = scene.component(k)
+        if float(comp.boundary_distance(mid[None, :])[0]) <= 100 * tol + 2 * eps_out:
+            return k
+    return None
+
+
+def reference_region_distance(scene, pts, ks, tol=dt.VERTEX_TOL):
+    """Coverage distance as verify_detour took it, component by component."""
+    cover = np.full(len(pts), np.inf)
+    for k in ks:
+        cover = np.minimum(cover, scene.component(k).region_distance(pts, tol))
+    return cover
+
+
+def reference_group_paths(paths, scene, tol=dt.VERTEX_TOL):
+    """group_paths with every contact answered by the exact predicate."""
+    contact = {}
+
+    def touching(a, b):
+        if a == b:
+            return True
+        key = (min(a, b), max(a, b))
+        if key not in contact:
+            contact[key] = component_closures_intersect(
+                scene.component(a), scene.component(b), tol)
+        return contact[key]
+
+    parent = list(range(len(paths)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(paths)):
+        for j in range(i + 1, len(paths)):
+            ri, rj = find(i), find(j)
+            if ri != rj and any(touching(a, b) for a in paths[i].touched
+                                for b in paths[j].touched):
+                parent[max(ri, rj)] = min(ri, rj)
+    grouped = {}
+    for i in range(len(paths)):
+        grouped.setdefault(find(i), []).append(i)
+    out = []
+    for root in sorted(grouped):
+        ids = grouped[root]
+        comps = sorted({k for i in ids for k in paths[i].touched})
+        edges = []
+        seen = {comps[0]} if comps else set()
+        frontier = list(seen)
+        while frontier:
+            cur = frontier.pop()
+            for other in comps:
+                if other not in seen and touching(cur, other):
+                    seen.add(other)
+                    frontier.append(other)
+                    edges.append((cur, other))
+        out.append((frozenset(ids), frozenset(comps), edges))
+    return out
+
+
+def probe_points(scene, rng):
+    """Random points over the scene box, edge_owner_probes of solids and
+    holes, hole centroids and hole vertices (exactly on hole boundaries)."""
+    f = scene.fractal
+    x0, y0, x1, y1 = scene.outer.bbox()
+    pts = [rng.uniform((x0 - 0.1, y0 - 0.1), (x1 + 0.1, y1 + 0.1), (1500, 2))]
+    if scene.holes.vertices is None:
+        ctr, r = scene.holes.centers, scene.holes.radii
+        for s in (1 - 1e-6, 1 - 1e-13, 1.0, 1 + 1e-6):
+            pts.append(ctr + r[:, None] * s * np.array([0.6, 0.8]))
+        pts.append(ctr)
+    else:
+        holes = scene.holes.vertices
+        some = holes[rng.choice(len(holes), min(len(holes), 300), replace=False)]
+        pts += [edge_owner_probes(f.solid_polygons(2)), edge_owner_probes(some),
+                some.mean(axis=1), some.reshape(-1, 2)]
+    return np.vstack(pts)
 
 
 def cover_lines(f, rng):
@@ -182,6 +280,51 @@ class TestArrayQueriesMatchScans:
         want = reference_locate(scene, pts)
         assert [-1 if k is None else k for k in found] == want.tolist()
         assert {k for k in found if k} == set(range(1, len(scene.holes) + 1))
+        assert scene.locate_many(pts) == found
+        assert scene.locate_many(pts[:0]) == []
+
+    @pytest.mark.parametrize("make", [
+        lambda: gasket_levels(8), lambda: carpet_levels(4),
+        lambda: apollonian(TangentCircleTriple.three_unit(), 0.05)],
+        ids=["gasket8", "carpet4", "apollonian"])
+    def test_distances_bitwise(self, make):
+        # the pairwise kernels repeat the float operations of the component
+        # queries, so the values must agree to the last bit
+        scene = dt.FractalScene(make())
+        rng = np.random.default_rng(10)
+        pts = probe_points(scene, rng)
+        # holes that contain some of the points, whose vertices are among
+        # the points too when they are polygons
+        held = sorted({k for k in scene.locate_many(pts) if k})
+        ks = [0] + sorted(rng.choice(held, min(len(held), 40), replace=False).tolist())
+        for family in (ks, ks[1:], [0], ks[:3]):
+            assert scene.coverage_distance(pts, family).tobytes() \
+                == reference_region_distance(scene, pts, family).tobytes()
+        pair_ks = rng.choice(ks, len(pts))
+        want = [scene.component(k).boundary_distance(p[None, :])[0]
+                for p, k in zip(pts, pair_ks.tolist())]
+        assert scene.pair_boundary_distance(pts, pair_ks).tobytes() \
+            == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("make,level", [(lambda: gasket_levels(8), 5),
+                                            (lambda: carpet_levels(4), 3)],
+                             ids=["gasket8", "carpet4"])
+    def test_edge_owners(self, make, level):
+        f = make()
+        scene = dt.FractalScene(f)
+        rng = np.random.default_rng(12)
+        polys = f.solid_polygons(level)
+        a = polys.reshape(-1, 2)
+        b = np.roll(polys, -1, axis=1).reshape(-1, 2)
+        # a zero-length edge and one shorter than the tolerance have no owner
+        a = np.vstack([a, a[:2]])
+        b = np.vstack([b, a[-2], a[-1] + 1e-10])
+        gaps = probe_points(scene, rng)[:500]
+        gap_ks, owners = dt._locate_path_points(scene, gaps, a, b, dt.VERTEX_TOL)
+        assert gap_ks == [scene.locate(p) for p in gaps]
+        assert owners == [reference_edge_owner(scene, p, q) for p, q in zip(a, b)]
+        assert owners[-2:] == [None, None]
+        assert len(set(owners) - {None}) > 20
 
     @pytest.mark.parametrize("make", [lambda: gasket_levels(6),
                                       lambda: carpet_levels(3)],
@@ -394,6 +537,85 @@ class TestGroupPaths:
         for i, ta in enumerate(part.touched_sets):
             for tb in part.touched_sets[i + 1:]:
                 assert not (ta & tb)
+
+
+class TestGroupPrune:
+    """group_paths skips the exact contact test for holes whose boxes lie
+    apart; its partition must equal the unpruned reference's."""
+
+    @staticmethod
+    def same(paths, scene):
+        part = dt.group_paths(paths, scene.fractal, scene=scene)
+        got = list(zip(part.groups, part.touched_sets, part.witness))
+        assert got == reference_group_paths(paths, scene)
+        return part
+
+    def test_gasket8_paths(self):
+        f = gasket_levels(8)
+        scene = dt.FractalScene(f)
+        rng = np.random.default_rng(14)
+        paths = []
+        for u in rng.uniform(0.02, 0.98, 14):
+            try:
+                rep = dt.detour_path(Line.horizontal(float(u) * SQRT3 / 2.0), f,
+                                     0.05, scene=scene)
+            except ExceptionalLineError:
+                continue
+            assert rep.ok
+            paths.append(rep.path)
+        assert len(paths) >= 10
+        # every path touches the outer component, so all share one group;
+        # kept to the holes of their two finest levels, they split up
+        assert len(self.same(paths, scene).witness[0]) > 40
+        small = [dt.DetourPath(p.polyline, frozenset(
+                     k for k in p.touched if k and scene.hole_levels[k - 1] >= p.level - 1),
+                     p.line, p.epsilon, p.level) for p in paths]
+        part = self.same(small, scene)
+        assert 1 < len(part.groups) < len(paths)
+
+    def test_packing_paths(self):
+        # singleton paths on every hole, so that each tangency decides a
+        # merge; five tangent pairs of this packing have boxes that touch
+        # to within rounding, which only a positive margin keeps
+        f = apollonian(TangentCircleTriple.three_unit(), 0.05)
+        scene = dt.FractalScene(f)
+        rng = np.random.default_rng(15)
+        n = len(scene.holes)
+        touched = [{k} for k in range(1, n + 1)]
+        for _ in range(4):
+            touched.append(set(rng.choice(np.arange(n + 1), 3, replace=False).tolist()))
+        order = rng.permutation(len(touched))
+        paths = [dt.DetourPath(np.zeros((2, 2)), frozenset(touched[i]),
+                               Line.horizontal(0.0), 0.1, 0) for i in order]
+        self.same(paths, scene)
+
+
+def _report_key(rep):
+    p = rep.path
+    return (rep.status, rep.level, rep.violations, rep.hausdorff_margin,
+            rep.touched_count, p.polyline.tobytes(), p.touched, p.arc_margins)
+
+
+class TestWorkerProcesses:
+    def test_pool_matches_serial(self, gasket6):
+        # lines and certificates may run in worker processes, which build
+        # their own scenes from the pickled approximation
+        lines = [Line.horizontal(0.3), Line.horizontal(0.53),
+                 Line.vertical(0.37), Line.vertical(0.61)]
+        n = len(lines)
+        ctx = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=2, mp_context=ctx) as pool:
+            cert = pool.submit(measure_zero_bound, gasket6, Line.horizontal(0.3), 4)
+            reps = list(pool.map(dt.detour_path, lines, [gasket6] * n,
+                                 [0.05] * n, timeout=120))
+            vers = list(pool.map(dt.verify_detour, [r.path for r in reps],
+                                 [gasket6] * n, timeout=120))
+            cert = cert.result(timeout=120)
+        serial = [dt.detour_path(line, gasket6, 0.05) for line in lines]
+        assert all(r.ok for r in serial)
+        assert [_report_key(r) for r in reps] == [_report_key(r) for r in serial]
+        assert vers == [dt.verify_detour(r.path, gasket6) for r in serial]
+        assert cert == measure_zero_bound(gasket6, Line.horizontal(0.3), 4)
 
 
 class TestStructuralChecks:
