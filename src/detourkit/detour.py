@@ -21,9 +21,11 @@ from .errors import ExceptionalLineError, InvalidShapeError, ResolutionError
 from .fractals import FractalApproximation, HoleComponents
 from .geometry import (POINT_SEGMENT_CHUNK, Interval1D, Line, Polygon,
                        SceneComponent, component_closures_intersect,
-                       line_component_hits, polygon_line_hits,
-                       segment_distance)
+                       line_component_hits, points_in_polygon,
+                       polygon_line_hits, segment_distance)
 
+# the one incidence tolerance of the detour layer; the margins of near_line
+# and group_paths are derived from it
 VERTEX_TOL = 1e-9
 
 
@@ -131,22 +133,20 @@ class FractalScene:
 
     # -- array queries over the flat hole arrays ------------------------------
     # Each one equals, bit for bit, the per-component SceneComponent query it
-    # replaces: per (point, hole) pair the kernels below run the same float
-    # operations as geometry.segment_distance and geometry.points_in_polygon.
+    # replaces: geometry's kernels broadcast over the stacked hole polygons.
 
-    def _hole_planes(self, px, py, pos, tol: float):
-        """Boundary distance of the points (``px``, ``py``) to the holes at
-        0-based positions ``pos``, broadcast against each other, and the
-        holes' closed containment of the points within ``tol``."""
+    def _hole_planes(self, pts, pos):
+        """Boundary distance of the points (..., 2) to the holes at 0-based
+        positions ``pos``, broadcast against each other, and the holes'
+        closed containment of the points within ``VERTEX_TOL``."""
         h = self.holes
         if h.vertices is None:
             ctr, r = h.centers[pos], h.radii[pos]
-            d = np.hypot(px - ctr[..., 0], py - ctr[..., 1])
-            return np.abs(d - r), d <= r + tol
+            d = np.hypot(pts[..., 0] - ctr[..., 0], pts[..., 1] - ctr[..., 1])
+            return np.abs(d - r), d <= r + VERTEX_TOL
         v = h.vertices[pos]
-        px, py = px[..., None], py[..., None]
-        d = _edge_distance(px, py, v)
-        return d, _crossing_parity(px, py, v) | (d <= tol)
+        d = segment_distance(pts, v, np.roll(v, -1, axis=-2)).min(axis=-1)
+        return d, points_in_polygon(pts, v) | (d <= VERTEX_TOL)
 
     def pair_boundary_distance(self, pts, ks) -> np.ndarray:
         """Distance from ``pts[i]`` to the boundary curve of component
@@ -157,19 +157,18 @@ class FractalScene:
         outer = ks == 0
         out[outer] = self.outer.boundary_distance(pts[outer])
         held = ~outer
-        out[held] = self._hole_planes(pts[held, 0], pts[held, 1],
-                                      ks[held] - 1, 0.0)[0]
+        out[held] = self._hole_planes(pts[held], ks[held] - 1)[0]
         return out
 
-    def coverage_distance(self, pts, ks, tol: float = VERTEX_TOL) -> np.ndarray:
+    def coverage_distance(self, pts, ks) -> np.ndarray:
         """Distance from each point (n, 2) to the union of the closed regions
         of the components ``ks``, shape (n,): the minimum over ``ks`` of
-        ``component(k).region_distance(pts, tol)``."""
+        ``component(k).region_distance(pts, VERTEX_TOL)``."""
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
         ks = np.asarray(ks, dtype=np.intp)
         out = np.full(len(pts), np.inf)
         if np.any(ks == 0):
-            out = self.outer.region_distance(pts, tol)
+            out = self.outer.region_distance(pts, VERTEX_TOL)
         pos = ks[ks > 0] - 1
         if not len(pos):
             return out
@@ -177,7 +176,7 @@ class FractalScene:
         rows = max(POINT_SEGMENT_CHUNK // (len(pos) * edges), 1)
         for lo in range(0, len(pts), rows):
             blk = pts[lo:lo + rows]
-            d, inside = self._hole_planes(blk[:, :1], blk[:, 1:], pos, tol)
+            d, inside = self._hole_planes(blk[:, None], pos)
             out[lo:lo + rows] = np.minimum(
                 out[lo:lo + rows], np.where(inside, 0.0, d).min(axis=1))
         return out
@@ -191,31 +190,6 @@ class FractalScene:
             return np.hstack([ctr - r, ctr + r])
         v = h.vertices[pos]
         return np.hstack([v.min(axis=1), v.max(axis=1)])
-
-
-def _edge_distance(px, py, v: np.ndarray) -> np.ndarray:
-    """Distance from points to polygon boundaries, broadcast: ``px``, ``py``
-    (..., 1) against vertex arrays ``v`` (..., k, 2), minimum over the k
-    edges.  Per (point, edge) pair: :func:`geometry.segment_distance`."""
-    ax, ay = v[..., 0], v[..., 1]
-    w = np.roll(v, -1, axis=-2)
-    ex, ey = w[..., 0] - ax, w[..., 1] - ay
-    denom = ex * ex + ey * ey
-    denom = np.where(denom < 1e-300, 1.0, denom)
-    t = np.clip(((px - ax) * ex + (py - ay) * ey) / denom, 0.0, 1.0)
-    return np.hypot(px - (ax + t * ex), py - (ay + t * ey)).min(axis=-1)
-
-
-def _crossing_parity(px, py, v: np.ndarray) -> np.ndarray:
-    """Strict crossing-number containment, broadcast as in
-    :func:`_edge_distance`.  Per pair: :func:`geometry.points_in_polygon`."""
-    x1, y1 = v[..., 0], v[..., 1]
-    w = np.roll(v, -1, axis=-2)
-    x2, y2 = w[..., 0], w[..., 1]
-    cond = (y1 > py) != (y2 > py)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xin = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
-    return np.sum(cond & (px < xin), axis=-1) % 2 == 1
 
 
 # ---------------------------------------------------------------------------
@@ -247,26 +221,26 @@ def solid_components(f: FractalApproximation, level: int) -> list[SceneComponent
     return cache[level]
 
 
-def near_line(line: Line, polys: np.ndarray, tol: float = VERTEX_TOL) -> np.ndarray:
+def near_line(line: Line, polys: np.ndarray) -> np.ndarray:
     """Indices of the polygons (n, k, 2) that may meet the line: a superset
-    of those the exact hit test (:func:`geometry.polygon_line_hits`) finds.
+    of those the exact hit test (:func:`geometry.polygon_line_hits`) finds
+    at tol = ``VERTEX_TOL``.
 
     A polygon is dropped when all its vertices lie on one side of the line
     beyond a margin.  An edge hit is a point of the line at edge parameter
     s within [-tol / scale, 1 + tol / scale] (scale >= 1, edge length
     <= 2 sqrt2 scale), so it lies within 2 sqrt2 tol of the edge; a margin
-    of 1000 times the larger of ``tol`` and ``VERTEX_TOL`` leaves room for
-    that and for rounding.
+    of 1000 tol leaves room for that and for rounding.
     """
-    margin = 1e3 * max(tol, VERTEX_TOL)
+    margin = 1e3 * VERTEX_TOL
     nx, ny = line.normal
     side = polys[:, :, 0] * nx + polys[:, :, 1] * ny - line.offset
     return np.flatnonzero((side.min(axis=1) <= margin)
                           & (side.max(axis=1) >= -margin))
 
 
-def interval_cover(line: Line, f: FractalApproximation, level: int,
-                   tol: float = VERTEX_TOL) -> list[CoverInterval]:
+def interval_cover(line: Line, f: FractalApproximation,
+                   level: int) -> list[CoverInterval]:
     """Ordered solid crossings of the line at the given level.
 
     Each interval runs from the first entry into a solid to the last exit
@@ -276,14 +250,14 @@ def interval_cover(line: Line, f: FractalApproximation, level: int,
     """
     polys = f.solid_polygons(level)
     hits: list[CoverInterval] = []
-    for i in near_line(line, polys, tol).tolist():
-        for iv in polygon_line_hits(line, polys[i], tol):
+    for i in near_line(line, polys).tolist():
+        for iv in polygon_line_hits(line, polys[i], VERTEX_TOL):
             hits.append(CoverInterval(iv, i, iv.degenerate))
     hits.sort(key=lambda h: (h.interval.lo, h.interval.hi))
     out: list[CoverInterval] = []
     cursor = -math.inf
     for h in hits:
-        if h.interval.lo < cursor - tol:
+        if h.interval.lo < cursor - VERTEX_TOL:
             continue  # swallowed by the previous solid's crossing
         out.append(h)
         cursor = max(cursor, h.interval.hi)
@@ -338,55 +312,50 @@ def required_level(f: FractalApproximation, epsilon: float) -> int:
         f"(deepest level {f.max_level})")
 
 
-def check_exceptional(line: Line, f: FractalApproximation, level: int,
-                      tol: float = VERTEX_TOL) -> None:
-    """Reject lines passing within ``tol`` of any vertex up to ``level``."""
+def check_exceptional(line: Line, f: FractalApproximation, level: int) -> None:
+    """Reject lines passing within ``VERTEX_TOL`` of any vertex up to
+    ``level``."""
     verts = _fractal_vertices(f, level)
     d = line.distance_to_points(verts)
     j = int(np.argmin(d))
-    if d[j] <= tol:
+    if d[j] <= VERTEX_TOL:
         raise ExceptionalLineError(
             f"line passes within {d[j]:.2e} of vertex ({verts[j, 0]}, {verts[j, 1]})")
 
 
-def _arc_route(poly: np.ndarray, entry: np.ndarray, exit_: np.ndarray,
-               tol: float) -> list[np.ndarray]:
-    """Boundary route from entry to exit along the smaller-diameter side.
+def _arc_route(poly: np.ndarray, entry: np.ndarray,
+               exit_: np.ndarray) -> tuple[np.ndarray, float]:
+    """Boundary route (m, 2) from entry to exit along the smaller-diameter
+    side, and its diameter.
 
     Ties go to the counter-clockwise side (polygons are stored CCW).
     """
     n = len(poly)
     d = segment_distance(np.vstack([entry, exit_]), poly, np.roll(poly, -1, axis=0))
     for dj in d.min(axis=1).tolist():
-        if dj > 100 * tol:
+        if dj > 100 * VERTEX_TOL:
             raise RuntimeError(f"point not on polygon boundary (distance {dj:.2e})")
     ei, xi = d.argmin(axis=1).tolist()
-    if ei == xi:
-        return [entry, exit_]
 
-    def walk_ccw(start_edge, end_edge, a, b):
+    def walk_ccw(e, end_edge, a, b):
         pts = [a]
-        e = start_edge
-        guard = 0
         while e != end_edge:
-            pts.append(poly[(e + 1) % n])
             e = (e + 1) % n
-            guard += 1
-            if guard > n + 1:
-                raise RuntimeError("boundary walk failed to terminate")
+            pts.append(poly[e])
         pts.append(b)
-        return pts
+        return np.asarray(pts)
 
-    ccw = walk_ccw(ei, xi, entry, exit_)
-    cw = walk_ccw(xi, ei, exit_, entry)[::-1]
-
-    def diam(pts):
-        arr = np.asarray(pts)
+    def diam(arr):
         d2 = (arr[:, None, 0] - arr[None, :, 0]) ** 2 \
             + (arr[:, None, 1] - arr[None, :, 1]) ** 2
         return math.sqrt(float(d2.max()))
 
-    return ccw if diam(ccw) <= diam(cw) else cw
+    ccw = walk_ccw(ei, xi, entry, exit_)
+    if ei == xi:
+        return ccw, diam(ccw)
+    cw = walk_ccw(xi, ei, exit_, entry)[::-1]
+    d_ccw, d_cw = diam(ccw), diam(cw)
+    return (ccw, d_ccw) if d_ccw <= d_cw else (cw, d_cw)
 
 
 def _locate_path_points(scene: FractalScene, gaps: np.ndarray, a: np.ndarray,
@@ -430,8 +399,7 @@ def _locate_path_points(scene: FractalScene, gaps: np.ndarray, a: np.ndarray,
 
 
 def detour_path(line: Line, f: FractalApproximation, epsilon: float,
-                scene: FractalScene | None = None,
-                tol: float = VERTEX_TOL) -> DetourReport:
+                scene: FractalScene | None = None) -> DetourReport:
     """Construct the corridor path for ``line`` at tolerance ``epsilon``.
 
     Any condition that fails during construction is recorded and the report
@@ -442,11 +410,11 @@ def detour_path(line: Line, f: FractalApproximation, epsilon: float,
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     level = required_level(f, epsilon)
-    check_exceptional(line, f, level, tol)
+    check_exceptional(line, f, level)
     if scene is None:
         scene = FractalScene(f, level)
     solids = f.solid_polygons(level)
-    cover = interval_cover(line, f, level, tol)
+    cover = interval_cover(line, f, level)
 
     outer = scene.outer
     bx0, by0, bx1, by1 = outer.bbox()
@@ -465,7 +433,7 @@ def detour_path(line: Line, f: FractalApproximation, epsilon: float,
     events: list[tuple] = []
 
     def mark_gap(a: float, b: float) -> None:
-        if b - a > tol:
+        if b - a > VERTEX_TOL:
             events.append(("gap", len(gap_ts)))
             gap_ts.append((a + b) / 2.0)
 
@@ -479,10 +447,7 @@ def detour_path(line: Line, f: FractalApproximation, epsilon: float,
             arc_margins.append(0.0)
             cursor = iv.hi
             continue
-        route = np.asarray(_arc_route(solids[cv.solid], entry, exit_, tol))
-        d2 = (route[:, None, 0] - route[None, :, 0]) ** 2 \
-            + (route[:, None, 1] - route[None, :, 1]) ** 2
-        arc_diam = math.sqrt(float(d2.max()))
+        route, arc_diam = _arc_route(solids[cv.solid], entry, exit_)
         arc_margins.append(arc_diam)
         if arc_diam >= epsilon:
             events.append(("violation",
@@ -498,7 +463,8 @@ def detour_path(line: Line, f: FractalApproximation, epsilon: float,
     edge_a = np.vstack([r[:-1] for r in routes] or [np.empty((0, 2))])
     edge_b = np.vstack([r[1:] for r in routes] or [np.empty((0, 2))])
     gap_ks, owners = _locate_path_points(
-        scene, line.point_at(np.array(gap_ts)).reshape(-1, 2), edge_a, edge_b, tol)
+        scene, line.point_at(np.array(gap_ts)).reshape(-1, 2), edge_a, edge_b,
+        VERTEX_TOL)
 
     touched: set[int] = set()
     violations: list[str] = []
@@ -527,7 +493,8 @@ def detour_path(line: Line, f: FractalApproximation, epsilon: float,
     if haus > epsilon:
         violations.append(f"path strays {haus:.4f} from the line (eps {epsilon})")
     for k in sorted(touched):
-        if k != 0 and not line_component_hits(line, scene.component(k), tol):
+        if k != 0 and not line_component_hits(line, scene.component(k),
+                                              VERTEX_TOL):
             violations.append(f"touched component {k} is missed by the line")
 
     path = DetourPath(polyline, frozenset(touched), line, epsilon, level,
@@ -559,9 +526,7 @@ class VerifyReport:
 
 
 def verify_detour(p: DetourPath, f: FractalApproximation,
-                  scene: FractalScene | None = None,
-                  samples_per_segment: int = 4,
-                  tol: float = VERTEX_TOL) -> VerifyReport:
+                  scene: FractalScene | None = None) -> VerifyReport:
     """Re-check the three detour conditions from raw geometry.
 
     Nothing from the constructor is trusted beyond the recorded polyline and
@@ -572,25 +537,25 @@ def verify_detour(p: DetourPath, f: FractalApproximation,
     if scene is None:
         scene = FractalScene(f, p.level)
     pts = [p.polyline]
-    for t in np.linspace(0.0, 1.0, samples_per_segment + 2)[1:-1]:
+    for t in np.linspace(0.0, 1.0, 6)[1:-1]:  # four samples inside each segment
         pts.append(p.polyline[:-1] * (1 - t) + p.polyline[1:] * t)
     samples = np.vstack(pts)
 
     haus = float(p.line.distance_to_points(samples).max())
-    hausdorff_ok = haus <= p.epsilon + tol
+    hausdorff_ok = haus <= p.epsilon + VERTEX_TOL
 
     if p.touched:
         coverage_margin = float(
-            scene.coverage_distance(samples, sorted(p.touched), tol).max())
+            scene.coverage_distance(samples, sorted(p.touched)).max())
     else:
         coverage_margin = math.inf
-    coverage_ok = coverage_margin <= 100 * tol
+    coverage_ok = coverage_margin <= 100 * VERTEX_TOL
 
     missed = []
     for k in sorted(p.touched):
         if k == 0:
             continue  # every scene line meets the unbounded closure
-        if not line_component_hits(p.line, scene.component(k), tol):
+        if not line_component_hits(p.line, scene.component(k), VERTEX_TOL):
             missed.append(k)
     return VerifyReport(hausdorff_ok, haus, len(p.touched) < math.inf,
                         len(p.touched), coverage_ok, coverage_margin,
@@ -609,14 +574,13 @@ class GroupPartition:
 
 
 def group_paths(paths: list[DetourPath], f: FractalApproximation,
-                scene: FractalScene | None = None,
-                tol: float = VERTEX_TOL) -> GroupPartition:
+                scene: FractalScene | None = None) -> GroupPartition:
     """Union-find merge of paths whose touched-closure unions intersect.
 
     Two paths land in one group when a touched component of one comes
-    within ``tol`` of a touched component of the other; merging runs to a
-    fixpoint.  Each group carries a spanning list of verified closure
-    contacts as its connectivity witness.
+    within ``tol`` = ``VERTEX_TOL`` of a touched component of the other;
+    merging runs to a fixpoint.  Each group carries a spanning list of
+    verified closure contacts as its connectivity witness.
 
     Two holes whose bounding boxes lie more than a margin apart in x or y
     are not touching, without the exact test.  The exact test accepts only
@@ -625,14 +589,13 @@ def group_paths(paths: list[DetourPath], f: FractalApproximation,
     its curve, or boundary curves within ``tol``.  Such points lie in both
     boxes grown by ``tol``, so the boxes are at most ``tol`` apart, up to
     the rounding of the distance tests: a few ulps of the coordinates,
-    which are O(1) in every scene.  The margin 2 max(tol, VERTEX_TOL) covers
-    both.
+    which are O(1) in every scene.  The margin 2 ``tol`` covers both.
     """
     if scene is None:
         level = max((p.level for p in paths), default=0)
         scene = FractalScene(f, level)
     contact: dict[tuple[int, int], bool] = {}
-    margin = 2.0 * max(tol, VERTEX_TOL)
+    margin = 2.0 * VERTEX_TOL
     held = sorted({k for p in paths for k in p.touched if k})
     boxes = dict(zip(held, scene.hole_boxes(held).tolist()))
 
@@ -650,7 +613,7 @@ def group_paths(paths: list[DetourPath], f: FractalApproximation,
                 hit = False
             else:
                 hit = component_closures_intersect(
-                    scene.component(a), scene.component(b), tol)
+                    scene.component(a), scene.component(b), VERTEX_TOL)
             contact[key] = hit
         return hit
 

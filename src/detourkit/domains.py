@@ -9,7 +9,7 @@ The Whitney sweep needs three vectorized answers about a domain D:
 The third one is what makes the dyadic selection rule sharp: for circles it
 reduces to corner evaluations, for polygons to box-to-segment distances, both
 closed form.  The polygon point oracle uses geometry's point-segment kernel;
-only cubes use the box kernel.
+only cubes use the box kernel, which projects the box corners through it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (Polygon, _polygon_signed_area, points_in_polygon,
-                       polygon_boundary_distance, sample_polygon_boundary)
+                       polygon_boundary_distance, sample_polygon_boundary,
+                       segment_distance)
 
 __all__ = ["Domain", "DiskDomain", "PolygonDomain", "equilateral_triangle_domain",
            "comb_domain"]
@@ -123,8 +124,6 @@ def _box_segment_distance(cx, cy, half, ax, ay, bx, by):
 
     ex = bx - ax
     ey = by - ay
-    seg_len2 = ex * ex + ey * ey
-    seg_len2 = np.where(seg_len2 < 1e-300, 1.0, seg_len2)
 
     def point_box(px, py):
         dx = np.maximum(np.abs(px - cx) - half, 0.0)
@@ -132,14 +131,10 @@ def _box_segment_distance(cx, cy, half, ax, ay, bx, by):
         return np.hypot(dx, dy)
 
     best = np.minimum(point_box(ax, ay), point_box(bx, by))
-    for sx in (-1.0, 1.0):
-        for sy in (-1.0, 1.0):
-            px = cx + sx * half
-            py = cy + sy * half
-            t = np.clip(((px - ax) * ex + (py - ay) * ey) / seg_len2, 0.0, 1.0)
-            qx = ax + t * ex
-            qy = ay + t * ey
-            best = np.minimum(best, np.hypot(qx - px, qy - py))
+    a, b = np.column_stack([ax[0], ay[0]]), np.column_stack([bx[0], by[0]])
+    corners = np.stack([np.column_stack([cx + sx * half, cy + sy * half])
+                        for sx in (-1.0, 1.0) for sy in (-1.0, 1.0)])
+    best = np.minimum(best, segment_distance(corners, a, b).min(axis=0))
 
     # Liang-Barsky clip: zero out pairs whose segment crosses the box.
     with np.errstate(divide="ignore", invalid="ignore"):

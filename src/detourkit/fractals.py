@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IllConditionedError, ResourceLimitError
+from .errors import IllConditionedError, InvalidShapeError, ResourceLimitError
 from .geometry import Circle, Point, Polygon, SceneComponent, segment_distance
 
 SQRT3 = math.sqrt(3.0)
@@ -72,7 +72,7 @@ class FractalApproximation:
             return self.levels[level].solids
         if self.kind == "carpet":
             return _squares(self.levels[level].solids, level)
-        raise ValueError(f"no polygonal solids for kind {self.kind!r}")
+        raise InvalidShapeError(f"no polygonal solids for kind {self.kind!r}")
 
     def n_solids(self, level: int) -> int:
         if self.kind == "apollonian":
@@ -402,8 +402,9 @@ def _interstice_corners(circles: CircleData, triples: np.ndarray) -> np.ndarray:
         ca, cb = ctr[a], ctr[b]
         d = np.hypot(cb[:, 0] - ca[:, 0], cb[:, 1] - ca[:, 1])
         d = np.where(d < 1e-300, 1.0, d)
-        # tangency against the enclosing wall sits at distance r_a beyond c_b
-        ra = np.where(enc[a], -rad[a], rad[a])
+        # inside an enclosing wall b the tangency point lies on the ray from
+        # c_b through c_a, at distance r_a beyond c_a
+        ra = np.where(enc[b], -rad[a], rad[a])
         out[:, m] = ca + (cb - ca) * (ra / d)[:, None]
     return out
 

@@ -274,27 +274,31 @@ class SceneComponent:
 # ---------------------------------------------------------------------------
 
 def points_in_polygon(pts: np.ndarray, vertices: np.ndarray) -> np.ndarray:
-    """Strict crossing-number containment test, vectorized over points."""
+    """Strict crossing-number containment, broadcast: points (..., 2) against
+    polygon vertex arrays (..., k, 2) give (...), the leading shapes
+    broadcasting against each other; (n, 2) against one polygon gives (n,)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     v = np.asarray(vertices, dtype=float)
-    x, y = pts[:, 0][:, None], pts[:, 1][:, None]
-    x1, y1 = v[:, 0][None, :], v[:, 1][None, :]
-    x2, y2 = np.roll(v[:, 0], -1)[None, :], np.roll(v[:, 1], -1)[None, :]
+    x, y = pts[..., None, 0], pts[..., None, 1]
+    w = np.roll(v, -1, axis=-2)
+    x1, y1, x2, y2 = v[..., 0], v[..., 1], w[..., 0], w[..., 1]
     cond = (y1 > y) != (y2 > y)
     with np.errstate(divide="ignore", invalid="ignore"):
         xin = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-    crossing = cond & (x < xin)
-    return np.sum(crossing, axis=1) % 2 == 1
+    return np.sum(cond & (x < xin), axis=-1) % 2 == 1
 
 
 def segment_distance(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distances from points (n, 2) to segments [a_i, b_i] (m, 2), shape (n, m)."""
+    """Distances from points to segments [a_i, b_i], broadcast: points
+    (..., 2) against endpoint arrays (..., m, 2) give (..., m), the leading
+    shapes broadcasting against each other; (n, 2) against (m, 2) gives
+    (n, m)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    px, py = pts[:, :1], pts[:, 1:2]
-    ax, ay = a[:, 0], a[:, 1]
-    ex, ey = b[:, 0] - ax, b[:, 1] - ay
+    px, py = pts[..., None, 0], pts[..., None, 1]
+    ax, ay = a[..., 0], a[..., 1]
+    ex, ey = b[..., 0] - ax, b[..., 1] - ay
     denom = ex * ex + ey * ey
     denom = np.where(denom < 1e-300, 1.0, denom)
     t = np.clip(((px - ax) * ex + (py - ay) * ey) / denom, 0.0, 1.0)

@@ -620,6 +620,21 @@ def _check_reach(length: np.ndarray, reach: np.ndarray) -> None:
 QH_DIAMETER_BOUND = 1.0 / 3.0
 
 
+def _split_selected(domain, cap: float, sel: np.ndarray, levels: np.ndarray,
+                    ix: np.ndarray, iy: np.ndarray, dist: np.ndarray):
+    """Replace the cubes ``sel`` by their four children, measured by the
+    oracle capped at ``cap`` sides: the kept cubes first, then the children
+    in the order of their parents."""
+    keep = ~sel
+    sx, sy = _split_cells(ix[sel], iy[sel])
+    sl = np.repeat(levels[sel], 4) + 1
+    s = 2.0 ** (-sl.astype(float))
+    sd = domain.cube_boundary_distance_capped(
+        (sx + 0.5) * s, (sy + 0.5) * s, s / 2.0, cap * s)
+    return (np.concatenate([levels[keep], sl]), np.concatenate([ix[keep], sx]),
+            np.concatenate([iy[keep], sy]), np.concatenate([dist[keep], sd]))
+
+
 def refine_for_qh(w: WhitneyDecomposition,
                   qh_bound: float = QH_DIAMETER_BOUND) -> WhitneyDecomposition:
     """Split cubes until diag(Q) / dist(Q, boundary) <= ``qh_bound`` everywhere.
@@ -633,10 +648,8 @@ def refine_for_qh(w: WhitneyDecomposition,
     """
     if not 0.0 < qh_bound <= QH_DIAMETER_BOUND:
         raise ValueError("qh_bound must be in (0, 1/3]")
-    levels = w.levels.copy()
-    ix = w.ix.copy()
-    iy = w.iy.copy()
-    dist = w.dist.copy()
+    # every step below builds new arrays, so w's own are never written
+    levels, ix, iy, dist = w.levels, w.ix, w.iy, w.dist
     domain = w.domain
     # distances only steer threshold comparisons against small multiples of
     # the side, so the oracle may clamp beyond this cap without changing any
@@ -647,16 +660,8 @@ def refine_for_qh(w: WhitneyDecomposition,
         need = side * SQRT2 / dist > qh_bound
         if not np.any(need):
             break
-        keep = ~need
-        sx, sy = _split_cells(ix[need], iy[need])
-        sl = np.repeat(levels[need], 4) + 1
-        s = 2.0 ** (-sl.astype(float))
-        sd = domain.cube_boundary_distance_capped(
-            (sx + 0.5) * s, (sy + 0.5) * s, s / 2.0, cap * s)
-        levels = np.concatenate([levels[keep], sl])
-        ix = np.concatenate([ix[keep], sx])
-        iy = np.concatenate([iy[keep], sy])
-        dist = np.concatenate([dist[keep], sd])
+        levels, ix, iy, dist = _split_selected(domain, cap, need,
+                                               levels, ix, iy, dist)
 
     # balance: adjacent cubes may differ by at most 2 levels (ratio 4).  The
     # split loop adds at most a few levels per cube, so the imbalance to
@@ -675,16 +680,8 @@ def refine_for_qh(w: WhitneyDecomposition,
             break
         too_coarse = np.zeros(len(levels), dtype=bool)
         too_coarse[faces[bad]] = True
-        keep = ~too_coarse
-        sx, sy = _split_cells(ix[too_coarse], iy[too_coarse])
-        sl = np.repeat(levels[too_coarse], 4) + 1
-        s = 2.0 ** (-sl.astype(float))
-        sd = domain.cube_boundary_distance_capped(
-            (sx + 0.5) * s, (sy + 0.5) * s, s / 2.0, cap * s)
-        levels = np.concatenate([levels[keep], sl])
-        ix = np.concatenate([ix[keep], sx])
-        iy = np.concatenate([iy[keep], sy])
-        dist = np.concatenate([dist[keep], sd])
+        levels, ix, iy, dist = _split_selected(domain, cap, too_coarse,
+                                               levels, ix, iy, dist)
 
     out = WhitneyDecomposition(domain, w.min_level_cutoff, levels, ix, iy, dist)
     # the probe ran on canonically sorted arrays, so its positions are valid

@@ -146,6 +146,21 @@ class TestCertifyAndCarpet:
     def test_usage_error_exit_one(self, tmp_path):
         assert main(["bogus-command"]) == 1
 
+    def test_packing_measure_zero_is_a_usage_error(self, tmp_path, capsys):
+        # a packing has no polygonal solids for the vertex check
+        assert run(tmp_path, "certify", "--scene", "apollonian",
+                   "--what", "measure-zero") == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_packing_detour_lines_exceptional(self, tmp_path):
+        # epsilon 0.9 resolves at a packing level, whose solids are not
+        # polygons, so every line is recorded as exceptional
+        assert run(tmp_path, "detour", "--scene", "apollonian",
+                   "--epsilon", "0.9", "--lines", "4") == 0
+        lines = json.loads((tmp_path / "detour.json").read_text())["lines"]
+        assert [e["status"] for e in lines] == ["exceptional"] * 4
+        assert all("no polygonal solids" in e["reason"] for e in lines)
+
     def test_certificate_failure_exit_two(self, tmp_path):
         # carpet detour paths cannot satisfy the conditions, so the command
         # reports the failures and exits 2

@@ -6,7 +6,8 @@ import pytest
 
 from detourkit.errors import IllConditionedError, ResourceLimitError
 from detourkit.fractals import (CARPET_MAX_LEVEL, GASKET_MAX_LEVEL,
-                                TangentCircleTriple, apollonian,
+                                TangentCircleTriple, _interstice_corners,
+                                apollonian,
                                 cantor_staircase, carpet_levels,
                                 gasket_levels, julia_raster, raster_to_pgm,
                                 soddy_circles, staircase_array,
@@ -219,6 +220,19 @@ class TestApollonian:
     def test_all_tangency_residuals(self, packing):
         rep = verify_nested_construction(packing, tol=1e-9)
         assert rep.passed, rep.contact_violations[:3]
+
+    def test_interstice_corners_on_both_circles(self, packing):
+        # corner m of an interstice is the tangency point of its wall pair m,
+        # also where one wall of the pair is the enclosing circle
+        c = packing.circles
+        for triples in packing.interstices:
+            corners = _interstice_corners(c, triples)
+            for m, pair in enumerate(((0, 1), (0, 2), (1, 2))):
+                for wall in pair:
+                    ids = triples[:, wall]
+                    d = np.hypot(corners[:, m, 0] - c.centers[ids, 0],
+                                 corners[:, m, 1] - c.centers[ids, 1])
+                    assert np.abs(d - c.radii[ids]).max() <= 1e-12
 
     def test_max_new_radius_decreasing(self, packing):
         c = packing.circles

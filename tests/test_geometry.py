@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detourkit.errors import EmptySetError, InvalidShapeError
-from detourkit.fractals import gasket_levels
+from detourkit.fractals import carpet_levels, gasket_levels
 from detourkit.geometry import (Circle, Interval1D, Line, Point, Polygon,
                                 SceneComponent, component_closures_intersect,
                                 distance_to_component, hausdorff_distance,
-                                line_component_hits, scene_from_json,
-                                scene_to_json)
+                                line_component_hits, points_in_polygon,
+                                scene_from_json, scene_to_json,
+                                segment_distance)
 
 
 def unit_circle(index=1):
@@ -168,6 +169,47 @@ class TestClosuresIntersect:
         assert not component_closures_intersect(outer, inside, 1e-9)
         touching = SceneComponent(1, Circle(Point(4.0, 0.0), 1.0))
         assert component_closures_intersect(outer, touching, 1e-9)
+
+
+class TestStackedKernels:
+    """The point-segment and crossing-number kernels broadcast points
+    (..., 2) against stacked polygons (..., k, 2), with the same float
+    operations per pair as a call on one polygon."""
+
+    @pytest.mark.parametrize("polys", [gasket_levels(4).solid_polygons(4),
+                                       carpet_levels(2).solid_polygons(2)],
+                             ids=["gasket4", "carpet2"])
+    def test_bitwise_equal_to_per_polygon_calls(self, polys):
+        rng = np.random.default_rng(21)
+        nxt = np.roll(polys, -1, axis=1)
+        lo, hi = polys.min(axis=(0, 1)), polys.max(axis=(0, 1))
+        # random points, vertices and edge midpoints: the parity test's
+        # boundary cases
+        pts = np.vstack([rng.uniform(lo, hi, (40, 2)), polys[:6].reshape(-1, 2),
+                         (polys[6:10] + nxt[6:10]).reshape(-1, 2) / 2.0])
+        n, (p, k) = len(pts), polys.shape[:2]
+
+        # all pairs: points (n, 1, 2) against polygons (p, k, 2)
+        d = segment_distance(pts[:, None], polys, nxt)
+        inside = points_in_polygon(pts[:, None], polys)
+        assert d.shape == (n, p, k) and inside.shape == (n, p)
+        for j in range(p):
+            one = segment_distance(pts, polys[j], nxt[j])
+            assert one.shape == (n, k)
+            assert d[:, j].tobytes() == one.tobytes()
+            assert inside[:, j].tolist() == points_in_polygon(pts, polys[j]).tolist()
+
+        # pairwise: point i against polygon sel[i], its first container if
+        # it has one
+        sel = np.where(inside.any(axis=1), inside.argmax(axis=1),
+                       rng.integers(0, p, n))
+        d = segment_distance(pts, polys[sel], nxt[sel])
+        inside = points_in_polygon(pts, polys[sel])
+        assert d.shape == (n, k) and inside.shape == (n,)
+        for i, j in enumerate(sel.tolist()):
+            assert d[i].tobytes() == segment_distance(pts[i], polys[j], nxt[j])[0].tobytes()
+            assert inside[i] == points_in_polygon(pts[i], polys[j])[0]
+        assert inside.any() and not inside.all()
 
 
 class TestTypesAndScene:
