@@ -135,18 +135,19 @@ class FractalScene:
     # Each one equals, bit for bit, the per-component SceneComponent query it
     # replaces: geometry's kernels broadcast over the stacked hole polygons.
 
-    def _hole_planes(self, pts, pos):
+    def _hole_planes(self, pts, pos, closed: bool = True):
         """Boundary distance of the points (..., 2) to the holes at 0-based
-        positions ``pos``, broadcast against each other, and the holes'
-        closed containment of the points within ``VERTEX_TOL``."""
+        positions ``pos``, broadcast against each other, and, if ``closed``,
+        the holes' closed containment of the points within ``VERTEX_TOL``
+        (None otherwise)."""
         h = self.holes
         if h.vertices is None:
             ctr, r = h.centers[pos], h.radii[pos]
             d = np.hypot(pts[..., 0] - ctr[..., 0], pts[..., 1] - ctr[..., 1])
-            return np.abs(d - r), d <= r + VERTEX_TOL
+            return np.abs(d - r), (d <= r + VERTEX_TOL if closed else None)
         v = h.vertices[pos]
         d = segment_distance(pts, v, np.roll(v, -1, axis=-2)).min(axis=-1)
-        return d, points_in_polygon(pts, v) | (d <= VERTEX_TOL)
+        return d, (points_in_polygon(pts, v) | (d <= VERTEX_TOL) if closed else None)
 
     def pair_boundary_distance(self, pts, ks) -> np.ndarray:
         """Distance from ``pts[i]`` to the boundary curve of component
@@ -157,7 +158,7 @@ class FractalScene:
         outer = ks == 0
         out[outer] = self.outer.boundary_distance(pts[outer])
         held = ~outer
-        out[held] = self._hole_planes(pts[held], ks[held] - 1)[0]
+        out[held] = self._hole_planes(pts[held], ks[held] - 1, closed=False)[0]
         return out
 
     def coverage_distance(self, pts, ks) -> np.ndarray:

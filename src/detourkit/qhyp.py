@@ -48,6 +48,10 @@ __all__ = [
 #: the cache past it clears the cache first
 DIJKSTRA_CACHE_BYTES = 1 << 29
 
+#: what became of a boundary sample: it got a chain, it has no accepted cube
+#: nearby, or the graph does not reach its terminal cube
+SERVED, NO_TERMINAL, UNREACHABLE = 0, 1, 2
+
 
 @dataclass(frozen=True)
 class HolderFit:
@@ -70,7 +74,9 @@ class FitReport:
     alpha_floor: float
     c_max: float
     worst_excess: float  # residual above c_max at the alpha floor; <= 0 when fittable
-    n_served: int        # boundary samples that had a terminal cube
+    n_served: int        # boundary samples that got a chain
+    n_no_terminal: int = 0   # samples with no accepted cube nearby
+    n_unreachable: int = 0   # samples whose terminal cube the graph does not reach
 
 
 @dataclass
@@ -79,9 +85,11 @@ class ShadowTable:
 
     ``entries`` maps cube id to the indices of the boundary samples whose
     geodesic chain passes through the cube; ``s`` of a cube is the diameter
-    of those samples (0 when no or one geodesic meets it).  ``n_served``
-    of the ``n_samples`` boundary samples had a terminal cube; the others
-    have no chain and appear in no entry.
+    of those samples (0 when no or one geodesic meets it).  Of the
+    ``len(boundary)`` sampled points, ``n_served`` got a chain; the others
+    appear in no entry, ``n_no_terminal`` of them for want of an accepted
+    cube nearby and ``n_unreachable`` because the graph does not reach their
+    terminal cube.  ``n_samples`` is the requested count.
     """
 
     basepoint: tuple[float, float]
@@ -89,6 +97,8 @@ class ShadowTable:
     boundary: np.ndarray
     entries: dict[int, np.ndarray]
     n_served: int
+    n_no_terminal: int = 0
+    n_unreachable: int = 0
 
     def s(self, cube_id: int) -> float:
         idx = self.entries.get(cube_id)
@@ -154,15 +164,10 @@ class GeodesicSolver:
 
     def chain(self, src: int, dst: int) -> np.ndarray:
         _, pred = self.run_dijkstra(src)
-        out = [dst]
-        while out[-1] != src:
-            p = pred[out[-1]]
-            if p < 0:
-                raise ResolutionError(
-                    f"cube {dst} unreachable from {src}; the adjacency graph "
-                    "is disconnected at this cutoff")
-            out.append(int(p))
-        return np.asarray(out[::-1], dtype=np.int64)
+        cubes, reached = _tree_paths(pred, src, np.array([dst]))
+        if not reached[0]:
+            raise _unreachable(src, dst)
+        return cubes[0]
 
     def default_basepoint(self) -> np.ndarray:
         """Center of the cube with maximal boundary distance."""
@@ -237,42 +242,57 @@ class GeodesicSolver:
         boundary; a missing terminal cube raises :class:`ResolutionError`
         suggesting a deeper cutoff.
         """
-        w = self.w
-        min_side = float(w.side.min())
-        if float(w.domain.boundary_distance(b)[0]) > 2.0 * min_side:
-            raise ValueError("target point is not near the domain boundary")
-        # the uncovered boundary band is a few selection-scale cubes wide
-        reach = 8.0 * 2.0 ** (-w.min_level_cutoff)
-        term = w.nearest_cube(b)
-        if w.cube_point_distance(term, b) > reach:
+        src, term, reason, chains = self._boundary_chains(x0, [b])
+        if reason[0] == NO_TERMINAL:
             raise ResolutionError(
                 "no accepted cube near the boundary point; increase the cutoff")
-        src = w.find_cube(x0)
-        if src == term:
-            return Geodesic(np.array([src]),
-                            np.array([[x0[0], x0[1]], w.centers[term]]),
-                            np.zeros(1), 0.0)
-        chain = self.chain(src, term)
+        if reason[0] == UNREACHABLE:
+            raise _unreachable(src, int(term[0]))
+        chain = chains[0]
+        poly = np.vstack([[np.asarray(x0, dtype=float)], self.w.centers[chain]])
+        if len(chain) == 1:
+            return Geodesic(chain, poly, np.zeros(1), 0.0)
         dist, _ = self.run_dijkstra(src)
-        poly = np.vstack([[np.asarray(x0, dtype=float)], w.centers[chain]])
         return Geodesic(chain, poly, dist[chain],
-                        self.leg(x0, src) + float(dist[term]))
+                        self.leg(x0, src) + float(dist[term[0]]))
 
-    def _boundary_chains(self, x0, pts) -> tuple[list[int], list[np.ndarray]]:
-        """Chains from ``x0`` toward each boundary point that has a terminal cube.
+    def _boundary_chains(self, x0, pts):
+        """Chains from the cube of ``x0`` toward all boundary points at once.
 
-        Returns the indices of the served points and their chains; points
-        without an accepted cube nearby are left out.
+        Every point must lie within two of the smallest cube sides of the
+        domain boundary, or ValueError is raised.  A point's terminal is its
+        nearest accepted cube, which must lie within a few selection-scale
+        sides; its chain is the path from the source cube in the
+        shortest-path tree, and the tree is walked back from all terminals
+        in lock-step.  Returns the source cube (None when no point has a
+        terminal), each point's terminal (-1 when it has none), each point's
+        reason code (``SERVED``, ``NO_TERMINAL`` or ``UNREACHABLE``) and the
+        chains of the served points in point order, source first.
         """
-        served, chains = [], []
-        for i, b in enumerate(pts):
-            try:
-                g = self.to_boundary(x0, b)
-            except ResolutionError:
-                continue
-            served.append(i)
-            chains.append(g.cubes)
-        return served, chains
+        w = self.w
+        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+        term = np.full(len(pts), -1, dtype=np.int64)
+        reason = np.full(len(pts), NO_TERMINAL, dtype=np.int8)
+        if not len(pts):
+            return None, term, reason, []
+        far = w.domain.boundary_distance(pts) > 2.0 * float(w.side.min())
+        # the points are answered in order: a far one raises, but only after
+        # the source cube was located for an earlier point with a terminal
+        head = int(np.argmax(far)) if np.any(far) else len(pts)
+        # the uncovered boundary band is a few selection-scale cubes wide
+        reach = 8.0 * 2.0 ** (-w.min_level_cutoff)
+        near = w.nearest_cubes(pts[:head])
+        has = np.flatnonzero(w.cube_point_distances(near, pts[:head]) <= reach)
+        src = w.find_cube(x0) if len(has) else None
+        if head < len(pts):
+            raise ValueError("target point is not near the domain boundary")
+        if src is None:
+            return None, term, reason, []
+        term[has] = near[has]
+        pred = self.run_dijkstra(src)[1] if np.any(term[has] != src) else None
+        chains, reached = _tree_paths(pred, src, term[has])
+        reason[has] = np.where(reached, SERVED, UNREACHABLE)
+        return src, term, reason, [c for c, ok in zip(chains, reached) if ok]
 
     # --- growth fit ------------------------------------------------------------
 
@@ -292,7 +312,9 @@ class GeodesicSolver:
         leg0 = self.leg(x0, src)
         dist, _ = self.run_dijkstra(src)
         marked = np.zeros(len(w), dtype=bool)
-        served, chains = self._boundary_chains(x0, w.domain.boundary_points(n_samples))
+        _, _, reason, chains = self._boundary_chains(
+            x0, w.domain.boundary_points(n_samples))
+        counts = _reason_counts(reason)
         marked[w.chain_cubes(chains)[1]] = True
         idx = np.flatnonzero(marked & np.isfinite(dist))
         khat = leg0 + dist[idx]
@@ -304,7 +326,7 @@ class GeodesicSolver:
 
         if c_of(alpha_floor) > c_max:
             return FitReport("not-holder", None, alpha_floor, c_max,
-                             c_of(alpha_floor) - c_max, len(served))
+                             c_of(alpha_floor) - c_max, *counts)
         lo = alpha_floor
         hi = None
         for alpha in np.geomspace(alpha_floor, 1.0, 64):
@@ -327,7 +349,7 @@ class GeodesicSolver:
         resid = float(np.max(khat - logs / alpha - c))
         fit = HolderFit((float(x0[0]), float(x0[1])), float(alpha), c,
                         int(len(idx)), resid)
-        return FitReport("ok", fit, alpha_floor, c_max, resid, len(served))
+        return FitReport("ok", fit, alpha_floor, c_max, resid, *counts)
 
     # --- shadows -----------------------------------------------------------------
 
@@ -337,14 +359,14 @@ class GeodesicSolver:
             raise ValueError("need at least 64 boundary samples")
         w = self.w
         pts = w.domain.boundary_points(n_samples)
-        served, chains = self._boundary_chains(x0, pts)
+        _, _, reason, chains = self._boundary_chains(x0, pts)
         owner, cubes = w.chain_cubes(chains)
         # pairs come sorted by cube, then by chain: one run per cube
         starts = np.flatnonzero(np.diff(cubes, prepend=-1))
-        samples = np.split(np.asarray(served, dtype=np.int64)[owner], starts[1:])
+        samples = np.split(np.flatnonzero(reason == SERVED)[owner], starts[1:])
         entries = {int(c): idx for c, idx in zip(cubes[starts], samples)}
         return ShadowTable((float(x0[0]), float(x0[1])), n_samples, pts, entries,
-                           len(served))
+                           *_reason_counts(reason))
 
     def shadow_sum_check(self, table: ShadowTable) -> tuple[float, float, float]:
         """(sum of s(Q)^2, quadrature of k(x, x0)^2 over the domain, ratio)."""
@@ -357,6 +379,50 @@ class GeodesicSolver:
         rhs = float(np.sum((khat[ok] ** 2) * (w.side[ok] ** 2)))
         ratio = lhs / rhs if rhs > 0 else math.inf
         return lhs, rhs, ratio
+
+
+def _tree_paths(pred, src: int, ends: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Paths from ``src`` to each of ``ends`` in a shortest-path tree.
+
+    ``pred`` maps each cube to its predecessor toward ``src``, negative at
+    ``src`` and at unreached cubes (it may be None when every end is
+    ``src``).  The paths are walked back from all ends in lock-step, one
+    array step per cube of the longest path.  ``ends`` must not be empty.
+    Returns the paths, source first, and whether each end was reached; an
+    unreached end's path stops where the tree ends.
+    """
+    ends = np.asarray(ends, dtype=np.int64)
+    # walk[k]: the cube k steps back from each end (held at the path's last cube)
+    walk = np.empty((16, len(ends)), dtype=np.int64)
+    walk[0] = ends
+    length = np.ones(len(ends), dtype=np.int64)
+    live = ends != src
+    k = 1
+    while np.any(live):
+        nxt = pred[walk[k - 1]]
+        live &= nxt >= 0
+        if k == len(walk):
+            walk = np.concatenate([walk, np.empty_like(walk)])
+        walk[k] = np.where(live, nxt, walk[k - 1])
+        length += live
+        live &= walk[k] != src
+        k += 1
+    # path j is walk[length[j] - 1], ..., walk[0] of column j
+    stop = np.cumsum(length)
+    rows = np.repeat(stop - 1, length) - np.arange(stop[-1])
+    flat = walk[rows, np.repeat(np.arange(len(ends)), length)]
+    # a path that stops short of src stops at a cube with no predecessor
+    return np.split(flat, stop[:-1]), walk[k - 1] == src
+
+
+def _unreachable(src: int, dst: int) -> ResolutionError:
+    return ResolutionError(f"cube {dst} unreachable from {src}; the adjacency graph "
+                           "is disconnected at this cutoff")
+
+
+def _reason_counts(reason: np.ndarray) -> list[int]:
+    """Sample counts (served, no terminal, unreachable) of reason codes."""
+    return [int(c) for c in np.bincount(reason, minlength=3)]
 
 
 def _nbytes(entry) -> int:

@@ -172,26 +172,38 @@ class WhitneyDecomposition:
             f"ix={cube.ix} iy={cube.iy}")
 
     def nearest_cube(self, point) -> int:
+        return int(self.nearest_cubes([point])[0])
+
+    def nearest_cubes(self, pts) -> np.ndarray:
+        """Nearest accepted cube of each point (n, 2), shape (n,).
+
+        The candidates are the 32 cubes with the nearest centers; a point
+        takes the closest of them, and between distances within 1e-15 of
+        each other the smaller cube, scanning the candidates by center
+        distance.
+        """
         from scipy.spatial import cKDTree
 
         if self._kdtree is None:
             self._kdtree = cKDTree(self.centers)
-        k = min(32, len(self))
-        _, idx = self._kdtree.query([point[0], point[1]], k=k)
-        idx = np.atleast_1d(idx)
-        best, best_d = int(idx[0]), math.inf
-        for i in idx:
-            d = self.cube_point_distance(int(i), point)
-            if d < best_d - 1e-15 or (abs(d - best_d) <= 1e-15
-                                      and self.side[i] < self.side[best]):
-                best, best_d = int(i), d
+        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+        _, idx = self._kdtree.query(pts, k=min(32, len(self)))
+        idx = idx.reshape(len(pts), -1)
+        best, best_d = idx[:, 0], np.full(len(pts), np.inf)
+        for i in idx.T:
+            d = self.cube_point_distances(i, pts)
+            take = (d < best_d - 1e-15) | ((np.abs(d - best_d) <= 1e-15)
+                                           & (self.side[i] < self.side[best]))
+            best, best_d = np.where(take, i, best), np.where(take, d, best_d)
         return best
 
-    def cube_point_distance(self, i: int, point) -> float:
-        s = self.side[i]
-        dx = max(abs(point[0] - self.centers[i, 0]) - s / 2.0, 0.0)
-        dy = max(abs(point[1] - self.centers[i, 1]) - s / 2.0, 0.0)
-        return math.hypot(dx, dy)
+    def cube_point_distances(self, ids, pts) -> np.ndarray:
+        """Distance from each point (n, 2) to the closed cube ``ids[k]``, shape (n,)."""
+        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+        half = self.side[ids] / 2.0
+        dx = np.maximum(np.abs(pts[:, 0] - self.centers[ids, 0]) - half, 0.0)
+        dy = np.maximum(np.abs(pts[:, 1] - self.centers[ids, 1]) - half, 0.0)
+        return np.hypot(dx, dy)
 
     # --- adjacency ----------------------------------------------------------
 

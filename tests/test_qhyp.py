@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from detourkit import qhyp
 from detourkit.domains import DiskDomain, comb_domain, equilateral_triangle_domain
-from detourkit.errors import UncoveredPointError
+from detourkit.errors import ResolutionError, UncoveredPointError
 from detourkit.whitney import refine_for_qh, whitney_decompose
 
 
@@ -287,3 +288,132 @@ class TestDijkstraCache:
         assert list(s._cache) == [last]
         assert np.array_equal(s.run_dijkstra(0)[0], d0)
         assert list(s._cache) == [0]
+
+
+# --- batched boundary chains against the per-sample loop they replace ---------
+
+def _ref_cube_point_distance(w, i, point):
+    s = w.side[i]
+    dx = max(abs(point[0] - w.centers[i, 0]) - s / 2.0, 0.0)
+    dy = max(abs(point[1] - w.centers[i, 1]) - s / 2.0, 0.0)
+    return math.hypot(dx, dy)
+
+
+def _ref_nearest_cube(w, tree, point):
+    """One k-d query per point, then a sequential scan of the candidates."""
+    _, idx = tree.query([point[0], point[1]], k=min(32, len(w)))
+    idx = np.atleast_1d(idx)
+    best, best_d = int(idx[0]), math.inf
+    for i in idx:
+        d = _ref_cube_point_distance(w, int(i), point)
+        if d < best_d - 1e-15 or (abs(d - best_d) <= 1e-15
+                                  and w.side[i] < w.side[best]):
+            best, best_d = int(i), d
+    return best
+
+
+def _ref_boundary_chains(solver, x0, pts):
+    """Per-sample to_boundary loop: (served, terminals, chains, reasons)."""
+    w = solver.w
+    tree = cKDTree(w.centers)
+    served, terms, chains, reasons = [], [], [], []
+    for i, b in enumerate(pts):
+        if float(w.domain.boundary_distance(b)[0]) > 2.0 * float(w.side.min()):
+            raise ValueError("target point is not near the domain boundary")
+        term = _ref_nearest_cube(w, tree, b)
+        if _ref_cube_point_distance(w, term, b) > 8.0 * 2.0 ** (-w.min_level_cutoff):
+            reasons.append(qhyp.NO_TERMINAL)
+            continue
+        src = w.find_cube(x0)
+        _, pred = solver.run_dijkstra(src)
+        out = [term]
+        while out[-1] != src and pred[out[-1]] >= 0:
+            out.append(int(pred[out[-1]]))
+        if out[-1] != src:
+            reasons.append(qhyp.UNREACHABLE)
+            continue
+        reasons.append(qhyp.SERVED)
+        served.append(i)
+        terms.append(term)
+        chains.append(out[::-1])
+    return served, terms, chains, reasons
+
+
+@pytest.fixture(scope="module")
+def triangle():
+    return refine_for_qh(whitney_decompose(equilateral_triangle_domain(), 9))
+
+
+@pytest.fixture(scope="module")
+def comb10():
+    return refine_for_qh(whitney_decompose(comb_domain(), 10))
+
+
+class TestBatchedBoundaryChains:
+    @pytest.mark.parametrize("scene", ["disk", "triangle", "comb10"])
+    @pytest.mark.parametrize("n", [64, 512])
+    def test_matches_per_sample_loop(self, request, scene, n):
+        w = request.getfixturevalue(scene)
+        s = qhyp.GeodesicSolver(w)
+        x0 = s.default_basepoint()
+        pts = w.domain.boundary_points(n)
+        served, terms, chains, reasons = _ref_boundary_chains(s, x0, pts)
+        src, term, reason, got = s._boundary_chains(x0, pts)
+        assert reason.tolist() == reasons
+        assert np.flatnonzero(reason == qhyp.SERVED).tolist() == served
+        assert term[served].tolist() == terms
+        assert [c.tolist() for c in got] == chains
+        assert src == w.find_cube(x0)
+
+    def test_comb_counts_by_reason(self, comb10):
+        s = qhyp.GeodesicSolver(comb10)
+        x0 = s.default_basepoint()
+        table = s.shadows(x0, 512)
+        fit = s.holder_fit(x0, 64)
+        counts = (table.n_served, table.n_no_terminal, table.n_unreachable)
+        assert counts == (33, 132, 329)
+        assert sum(counts) == len(table.boundary) == 494
+        n_fit = len(comb10.domain.boundary_points(64))
+        assert fit.n_served + fit.n_no_terminal + fit.n_unreachable == n_fit
+
+    def test_to_boundary_reasons(self, comb10):
+        s = qhyp.GeodesicSolver(comb10)
+        x0 = s.default_basepoint()
+        pts = comb10.domain.boundary_points(512)
+        _, _, reason, _ = s._boundary_chains(x0, pts)
+        for code, msg in ((qhyp.NO_TERMINAL, "no accepted cube"),
+                          (qhyp.UNREACHABLE, "unreachable")):
+            with pytest.raises(ResolutionError, match=msg):
+                s.to_boundary(x0, pts[int(np.argmax(reason == code))])
+
+    def test_far_point_raises_after_source(self, disk, solver):
+        # a far sample raises ValueError; an uncovered basepoint is reported
+        # first when an earlier sample has a terminal cube, as sample by sample
+        far = [(1.0, 0.0), (0.2, 0.2)]
+        with pytest.raises(ValueError):
+            solver._boundary_chains((0.0, 0.0), far)
+        with pytest.raises(UncoveredPointError):
+            solver._boundary_chains((0.999999, 0.0), far)
+        with pytest.raises(ValueError):
+            solver._boundary_chains((0.999999, 0.0), far[::-1])
+
+    @pytest.mark.parametrize("scene", ["disk", "triangle", "comb10"])
+    def test_nearest_cubes_match_scan(self, request, scene):
+        w = request.getfixturevalue(scene)
+        rng = np.random.default_rng(11)
+        x0, y0, x1, y1 = w.domain.bbox()
+        ids = rng.choice(len(w), 200, replace=False)
+        lo = w.centers[ids] - w.side[ids, None] / 2.0
+        pts = np.vstack([
+            # random points of the box
+            rng.uniform([x0, y0], [x1, y1], (300, 2)),
+            # points on shared cube faces and corners
+            lo, lo + w.side[ids, None] * np.column_stack(
+                [rng.uniform(0, 1, 200), np.zeros(200)]),
+            # uncovered points near the boundary
+            w.domain.boundary_points(128),
+        ])
+        got = w.nearest_cubes(pts)
+        tree = cKDTree(w.centers)
+        assert got.tolist() == [_ref_nearest_cube(w, tree, p) for p in pts]
+        assert w.nearest_cube(pts[0]) == got[0]
