@@ -19,7 +19,7 @@ import numpy as np
 from .detour import FractalScene, check_exceptional, near_line
 from .domains import DiskDomain, Domain, PolygonDomain
 from .errors import InvalidShapeError, MissingFitError
-from .fractals import FractalApproximation, staircase_array
+from .fractals import FractalApproximation, carpet_levels, staircase_array
 from .geometry import Line, line_component_hits
 from .qhyp import FitReport, HolderFit, ShadowTable
 from .whitney import WhitneyDecomposition
@@ -77,7 +77,9 @@ class PiecewiseFunctionSample:
         pts = np.atleast_2d(pts)
         if self.gradient is not None:
             return np.asarray(self.gradient(pts), dtype=float)
-        h = self.fd_step
+        return self._central_difference(pts, self.fd_step)
+
+    def _central_difference(self, pts: np.ndarray, h: float) -> np.ndarray:
         ex = np.array([h, 0.0])
         ey = np.array([0.0, h])
         gx = (self.values(pts + ex) - self.values(pts - ex)) / (2 * h)
@@ -92,14 +94,8 @@ class PiecewiseFunctionSample:
         """Max deviation between analytic and central-difference gradients."""
         if self.gradient is None:
             return 0.0
-        analytic = self.grad(pts)
-        saved, self.gradient = self.gradient, None
-        saved_h, self.fd_step = self.fd_step, h
-        try:
-            fd = self.grad(pts)
-        finally:
-            self.gradient, self.fd_step = saved, saved_h
-        return float(np.abs(analytic - fd).max())
+        pts = np.atleast_2d(pts)
+        return float(np.abs(self.grad(pts) - self._central_difference(pts, h)).max())
 
 
 def function_of(expr: str, p: float = 3.0) -> PiecewiseFunctionSample:
@@ -207,10 +203,9 @@ def integrated_measure_bound(f: FractalApproximation, direction: str,
     enumerated = Fraction(0)
     if f.kind == "gasket":
         for j in range(m + 1, depth + 1):
-            widths = np.unique(f.hole_diameters(j))
-            counts = [int(np.sum(f.hole_diameters(j) == w)) for w in widths]
-            for w, n in zip(widths, counts):
-                enumerated += n * Fraction(float(w)) * Fraction(float(w))
+            widths, counts = np.unique(f.hole_diameters(j), return_counts=True)
+            for w, n in zip(widths.tolist(), counts.tolist()):
+                enumerated += n * Fraction(w) * Fraction(w)
         tail = Fraction(3, 4) ** depth  # levels beyond the generated scene
         exact = 3 * (enumerated + tail)
         if exact != 3 * Fraction(3, 4) ** m:
@@ -373,33 +368,19 @@ def boundary_image_tail(w: WhitneyDecomposition, table: ShadowTable,
 # ---------------------------------------------------------------------------
 
 def _hole_geometry(f: FractalApproximation, scene: FractalScene, m: int):
-    """(components, levels, diameters, areas) of the holes up to level ``m``."""
-    keep = scene.hole_levels <= m
-    comps = scene.holes[:int(keep.sum())]  # hole levels ascend
-    diams = []
-    areas = []
-    for comp in comps:
-        if f.kind == "gasket":
-            v = comp.shape.vertices
-            width = float(v[:, 0].max() - v[:, 0].min())
-            diams.append(width)
-            areas.append(math.sqrt(3.0) / 4.0 * width * width)
-        elif f.kind == "carpet":
-            v = comp.shape.vertices
-            side = float(v[:, 0].max() - v[:, 0].min())
-            diams.append(side * math.sqrt(2.0))
-            areas.append(side * side)
-        else:
-            r = comp.shape.radius
-            diams.append(2.0 * r)
-            areas.append(math.pi * r * r)
-    return comps, scene.hole_levels[keep], np.asarray(diams), np.asarray(areas)
+    """(levels, diameters, areas) of the scene's holes up to level ``m``, in
+    hole order."""
+    top = min(m, scene.max_level)
+    diams = np.concatenate([f.hole_diameters(j) for j in range(top + 1)])
+    areas = np.concatenate([f.hole_areas(j) for j in range(top + 1)])
+    return scene.hole_levels[:len(diams)], diams, areas  # hole levels ascend
 
 
-def _image_diameter(fn: PiecewiseFunctionSample, comp, n: int) -> float:
-    pts = comp.boundary_points(n)
-    vals = fn.values(pts)
-    return float(vals.max() - vals.min())
+def _image_diameters(fn: PiecewiseFunctionSample, scene: FractalScene,
+                     count: int, n: int) -> np.ndarray:
+    """diam f(boundary) of the first ``count`` holes, n boundary samples each."""
+    return np.array([np.ptp(fn.values(scene.holes.boundary_points(k, n)))
+                     for k in range(count)])
 
 
 def removability_certificate(f: FractalApproximation,
@@ -419,9 +400,9 @@ def removability_certificate(f: FractalApproximation,
         raise ValueError("the removability certificate needs p > 2")
     if scene is None:
         scene = FractalScene(f)
-    comps, levels, diams, areas = _hole_geometry(f, scene, m)
-    image = np.array([_image_diameter(fn, c, n_boundary) for c in comps])
-    image2 = np.array([_image_diameter(fn, c, 2 * n_boundary) for c in comps])
+    levels, diams, areas = _hole_geometry(f, scene, m)
+    image = _image_diameters(fn, scene, len(diams), n_boundary)
+    image2 = _image_diameters(fn, scene, len(diams), 2 * n_boundary)
     value = math.fsum(image * diams)
     doubling_delta = math.fsum(image2 * diams) - value
 
@@ -504,19 +485,6 @@ def carpet_function(p: float = 3.0) -> PiecewiseFunctionSample:
     return PiecewiseFunctionSample(ev, gr, p=p)
 
 
-def _carpet_hole_cells(m: int):
-    """Integer (ix, iy) of the holes removed at each level 1..m."""
-    from .fractals import _CARPET_KEEP
-
-    cells = np.zeros((1, 2), dtype=np.int64)
-    holes = []
-    for _ in range(m):
-        base = cells * 3
-        holes.append(base + 1)
-        cells = (base[:, None, :] + _CARPET_KEEP[None, :, :]).reshape(-1, 2)
-    return holes
-
-
 @dataclass
 class CarpetReport:
     p: float
@@ -564,7 +532,9 @@ def carpet_counterexample(p: float, m: int, y0: float,
     total = ring
     nodes = (np.arange(quad_nodes) + 0.5) / quad_nodes
     chunk = 200_000
-    for j, holes in enumerate(_carpet_hole_cells(m), start=1):
+    # only the hole cells of levels 1..m are kept, not the carpet's solids
+    for j, holes in enumerate([lv.holes for lv in carpet_levels(m).levels[1:]],
+                              start=1):
         side = 3.0 ** (-j)
         contrib = 0.0
         for lo in range(0, len(holes), chunk):

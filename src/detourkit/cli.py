@@ -3,8 +3,10 @@
 Subcommands tie the generators, decompositions and certificates into
 reproducible runs: fixed seed means byte-identical JSON/CSV artifacts
 (timestamps go to a separate metadata file).  Exit status is 0 when every
-requested certificate passes, 2 on a certificate failure, and 1 on usage or
-resource errors.
+requested certificate passes, 2 on a certificate failure (or a detour run in
+which every line is exceptional, so that no line was checked), and 1 on usage
+or resource errors.  Every field of :class:`RunConfig` after ``command`` is a
+flag of every subcommand, with the field's type and default.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +46,7 @@ class RunConfig:
     y0: float = 0.5
     what: str = "integrated-measure"
     fn: str = "x2+y"
-    map_id: str = "z2-16/27z"
+    map: str = "z2-16/27z"
     grid: int = 256
     max_iter: int = 64
     qh_bound: float = 1.0 / 3.0
@@ -52,17 +54,13 @@ class RunConfig:
         os.environ.get("DETOURKIT_OUT", "detourkit-out")))
 
 
-def _write(cfg: RunConfig, name: str, text: str) -> Path:
+def _write(cfg: RunConfig, name: str, data: str | bytes) -> Path:
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.output_dir / name
-    path.write_text(text)
-    return path
-
-
-def _write_bytes(cfg: RunConfig, name: str, blob: bytes) -> Path:
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    path = cfg.output_dir / name
-    path.write_bytes(blob)
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    else:
+        path.write_text(data)
     return path
 
 
@@ -75,7 +73,7 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=1)
 
 
-def _domain_for(name: str, cfg: RunConfig):
+def _domain_for(name: str):
     if name == "disk":
         return DiskDomain()
     if name == "triangle":
@@ -102,9 +100,9 @@ def _fractal_for(cfg: RunConfig) -> fractals.FractalApproximation:
 
 def _cmd_generate(cfg: RunConfig) -> int:
     if cfg.scene == "julia":
-        counts = fractals.julia_raster(cfg.map_id, grid=cfg.grid,
+        counts = fractals.julia_raster(cfg.map, grid=cfg.grid,
                                        max_iter=cfg.max_iter)
-        _write_bytes(cfg, "julia.pgm", fractals.raster_to_pgm(counts, cfg.max_iter))
+        _write(cfg, "julia.pgm", fractals.raster_to_pgm(counts, cfg.max_iter))
         hist = np.bincount(counts.ravel(), minlength=cfg.max_iter + 1)
         rows = ["iterations,pixels"]
         rows += [f"{i},{int(n)}" for i, n in enumerate(hist)]
@@ -118,7 +116,7 @@ def _cmd_generate(cfg: RunConfig) -> int:
 
 
 def _cmd_whitney(cfg: RunConfig) -> int:
-    domain = _domain_for(cfg.scene, cfg)
+    domain = _domain_for(cfg.scene)
     w = whitney_decompose(domain, cfg.cutoff)
     _write(cfg, "cubes.csv", w.cubes_csv())
     _write(cfg, "edges.csv", w.edges_csv())
@@ -131,7 +129,7 @@ def _cmd_whitney(cfg: RunConfig) -> int:
 
 
 def _cmd_qhyp(cfg: RunConfig) -> int:
-    domain = _domain_for(cfg.scene, cfg)
+    domain = _domain_for(cfg.scene)
     w = refine_for_qh(whitney_decompose(domain, cfg.cutoff), cfg.qh_bound)
     solver = qhyp.solver_for(w)
     x0 = solver.default_basepoint()
@@ -189,6 +187,7 @@ def _cmd_detour(cfg: RunConfig) -> int:
     lines = _sample_lines(cfg, f)
     entries = []
     all_ok = True
+    checked = 0
     first_path = None
     for i, line in enumerate(lines):
         entry: dict = {
@@ -203,6 +202,7 @@ def _cmd_detour(cfg: RunConfig) -> int:
             entry["reason"] = str(exc)
             entries.append(entry)
             continue
+        checked += 1
         entry["status"] = rep.status
         entry["level"] = rep.level
         entry["touched"] = rep.touched_count
@@ -229,7 +229,7 @@ def _cmd_detour(cfg: RunConfig) -> int:
     _write(cfg, "detour.csv", "\n".join(rows) + "\n")
     if first_path is not None:
         _write(cfg, "detour.svg", _detour_svg(first_path, scene))
-    return 0 if all_ok else 2
+    return 0 if all_ok and checked else 2
 
 
 def _detour_svg(path: detour.DetourPath, scene: detour.FractalScene) -> str:
@@ -353,31 +353,17 @@ def run(cfg: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One ``--field-name`` flag per :class:`RunConfig` field after
+    ``command``, typed and defaulted by the field's default value."""
     ap = argparse.ArgumentParser(prog="detourkit")
     sub = ap.add_subparsers(dest="command", required=True)
+    defaults = RunConfig(command="")
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--scene", default="gasket")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--epsilon", type=float, default=0.05)
-        p.add_argument("--p", type=float, default=3.0)
-        p.add_argument("--levels", type=int, default=5)
-        p.add_argument("--cutoff", type=int, default=10)
-        p.add_argument("--lines", type=int, default=20)
-        p.add_argument("--samples", type=int, default=64)
-        p.add_argument("--min-radius", dest="min_radius", type=float,
-                       default=0.05)
-        p.add_argument("--m", type=int, default=4)
-        p.add_argument("--y0", type=float, default=0.5)
-        p.add_argument("--what", default="integrated-measure")
-        p.add_argument("--fn", default="x2+y")
-        p.add_argument("--map", dest="map_id", default="z2-16/27z")
-        p.add_argument("--grid", type=int, default=256)
-        p.add_argument("--max-iter", dest="max_iter", type=int, default=64)
-        p.add_argument("--qh-bound", dest="qh_bound", type=float,
-                       default=1.0 / 3.0)
-        p.add_argument("--output-dir", dest="output_dir", type=Path,
-                       default=None)
+        for f in fields(RunConfig)[1:]:
+            default = getattr(defaults, f.name)
+            p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                           type=type(default), default=default)
     return ap
 
 
@@ -386,8 +372,7 @@ def main(argv: list[str] | None = None) -> int:
         ns = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    kwargs = {k: v for k, v in vars(ns).items() if v is not None}
-    cfg = RunConfig(**kwargs)
+    cfg = RunConfig(**vars(ns))
     try:
         return run(cfg)
     except DetourkitError as exc:

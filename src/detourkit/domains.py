@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (Polygon, _polygon_signed_area, points_in_polygon,
-                       polygon_boundary_distance, sample_polygon_boundary,
-                       segment_distance)
+                       polygon_boundary_distance, sample_circle,
+                       sample_polygon_boundary, segment_distance)
 
 __all__ = ["Domain", "DiskDomain", "PolygonDomain", "equilateral_triangle_domain",
            "comb_domain"]
@@ -101,9 +101,7 @@ class DiskDomain(Domain):
         return math.pi * self.radius ** 2
 
     def boundary_points(self, n: int) -> np.ndarray:
-        th = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        return np.column_stack([self.center[0] + self.radius * np.cos(th),
-                                self.center[1] + self.radius * np.sin(th)])
+        return sample_circle(*self.center, self.radius, n)
 
 
 def _box_segment_distance(cx, cy, half, ax, ay, bx, by):

@@ -17,9 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IllConditionedError, InvalidShapeError, ResourceLimitError
-from .geometry import Circle, Point, Polygon, SceneComponent, segment_distance
+from .geometry import (Circle, Point, Polygon, SceneComponent,
+                       sample_circle, sample_polygon_boundary, segment_distance)
 
 SQRT3 = math.sqrt(3.0)
+_AREA_PER_SQUARED_DIAMETER = {"gasket": SQRT3 / 4.0, "carpet": 0.5,
+                              "apollonian": math.pi / 4.0}
 
 GASKET_MAX_LEVEL = 20
 CARPET_MAX_LEVEL = 12
@@ -129,6 +132,13 @@ class FractalApproximation:
         c = self.circles
         return 2.0 * c.radii[(c.levels == level) & ~c.enclosing]
 
+    def hole_areas(self, level: int) -> np.ndarray:
+        """Areas of the holes removed at ``level``, from their diameters d:
+        equilateral triangles (sqrt3/4 d^2), squares (d^2/2) or disks
+        (pi/4 d^2)."""
+        d = self.hole_diameters(level)
+        return _AREA_PER_SQUARED_DIAMETER[self.kind] * d * d
+
     def max_solid_diameter(self, level: int) -> float:
         if self.kind == "gasket":
             tri = self.levels[level].solids
@@ -149,11 +159,12 @@ class FractalApproximation:
 class HoleComponents(Sequence):
     """The holes through one level as a lazily materialised list.
 
-    Position k - 1 holds hole k.  The geometry stays in flat arrays in hole
-    order: ``vertices`` (H, k, 2) for the gasket and carpet, ``centers`` and
-    ``radii`` for a circle packing (``vertices`` is then None).  A
-    :class:`SceneComponent` is built the first time its position is read and
-    memoised, so a scene pays only for the holes a query touches.
+    Position k - 1 holds hole k; positions are non-negative.  The geometry
+    stays in flat arrays in hole order: ``vertices`` (H, k, 2) for the
+    gasket and carpet, ``centers`` and ``radii`` for a circle packing
+    (``vertices`` is then None).  A :class:`SceneComponent` is built the
+    first time its position is read and memoised, so a scene pays only for
+    the holes a query touches.
     """
 
     def __init__(self, f: FractalApproximation, max_level: int | None = None):
@@ -176,12 +187,8 @@ class HoleComponents(Sequence):
     def __len__(self) -> int:
         return len(self.levels)
 
-    def __getitem__(self, pos):
-        if isinstance(pos, slice):
-            return [self[i] for i in range(*pos.indices(len(self)))]
+    def __getitem__(self, pos: int) -> SceneComponent:
         pos = operator.index(pos)
-        if pos < 0:
-            pos += len(self)
         if not 0 <= pos < len(self):
             raise IndexError(f"hole position {pos} out of range")
         comp = self._built.get(pos)
@@ -192,6 +199,13 @@ class HoleComponents(Sequence):
                 shape = Polygon(self.vertices[pos])
             comp = self._built[pos] = SceneComponent(pos + 1, shape)
         return comp
+
+    def boundary_points(self, pos: int, n: int) -> np.ndarray:
+        """Boundary sample of the hole at ``pos``, read from the flat arrays
+        (the same points as its component's ``boundary_points(n)``)."""
+        if self.vertices is None:
+            return sample_circle(*self.centers[pos], self.radii[pos], n)
+        return sample_polygon_boundary(self.vertices[pos], n)
 
 
 # ---------------------------------------------------------------------------

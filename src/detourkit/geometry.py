@@ -185,10 +185,6 @@ class Polygon:
                         raise InvalidShapeError("polygon is self-intersecting")
         object.__setattr__(self, "vertices", v)
 
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
-
 
 Shape = Circle | Polygon
 
@@ -263,9 +259,8 @@ class SceneComponent:
     def boundary_points(self, n: int) -> np.ndarray:
         """Roughly arc-length uniform boundary sample, vertices included."""
         if isinstance(self.shape, Circle):
-            th = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-            c, r = self.shape.center, self.shape.radius
-            return np.column_stack([c.x + r * np.cos(th), c.y + r * np.sin(th)])
+            c = self.shape.center
+            return sample_circle(c.x, c.y, self.shape.radius, n)
         return sample_polygon_boundary(self.shape.vertices, n)
 
 
@@ -321,6 +316,12 @@ def polygon_boundary_distance(pts: np.ndarray, vertices: np.ndarray) -> np.ndarr
     return out
 
 
+def sample_circle(cx: float, cy: float, r: float, n: int) -> np.ndarray:
+    """n equally spaced points of the circle, the first at angle 0."""
+    th = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    return np.column_stack([cx + r * np.cos(th), cy + r * np.sin(th)])
+
+
 def sample_polygon_boundary(vertices: np.ndarray, n: int) -> np.ndarray:
     """n boundary points spread by arc length; all vertices are included."""
     v = np.asarray(vertices, dtype=float)
@@ -343,8 +344,6 @@ def sample_polygon_boundary(vertices: np.ndarray, n: int) -> np.ndarray:
 
 def distance_to_component(p: Point, c: SceneComponent) -> float:
     """Euclidean distance from ``p`` to the boundary curve of ``c``."""
-    if isinstance(c.shape, Polygon) and c.shape.n_vertices < 3:
-        raise InvalidShapeError("degenerate polygon")
     return float(c.boundary_distance(p.as_array()[None, :])[0])
 
 
@@ -360,34 +359,15 @@ def _merge_close(params: np.ndarray, tol: float) -> np.ndarray:
 
 
 def line_component_hits(line: Line, c: SceneComponent, tol: float = TOL) -> list[Interval1D]:
-    """Parameter intervals of the line lying in the closed region of ``c``.
+    """Parameter intervals of the line lying in the closed region of the
+    bounded component ``c``; tangency is reported as a degenerate interval.
 
-    Tangency is reported as a degenerate interval.  For the unbounded
-    component the complement of the enclosed region is clipped to a finite
-    parameter window that covers the scene; beyond it the line is trivially
-    inside, so a non-empty result still certifies intersection.
+    Every line meets the unbounded component in two rays, which no finite
+    interval list holds, so an unbounded ``c`` raises
+    :class:`InvalidShapeError`.
     """
-    if c.bounded:
-        return _line_region_hits(line, c, tol)
-    # exterior component: window large enough to contain the boundary curve
-    x0, y0, x1, y1 = c.bbox()
-    scale = max(x1 - x0, y1 - y0, 1.0)
-    tmid = float(line.project(np.array([[(x0 + x1) / 2, (y0 + y1) / 2]]))[0])
-    window = Interval1D(tmid - 4 * scale, tmid + 4 * scale)
-    inner = _line_region_hits(line, c, tol)
-    out: list[Interval1D] = []
-    cursor = window.lo
-    for iv in inner:
-        if iv.lo > cursor:
-            out.append(Interval1D(cursor, min(iv.lo, window.hi)))
-        cursor = max(cursor, iv.hi)
-    if cursor < window.hi:
-        out.append(Interval1D(cursor, window.hi))
-    return out
-
-
-def _line_region_hits(line: Line, c: SceneComponent, tol: float) -> list[Interval1D]:
-    """Hits of the closed region enclosed by the boundary curve of ``c``."""
+    if not c.bounded:
+        raise InvalidShapeError("line hits need a bounded component")
     if isinstance(c.shape, Circle):
         ctr, r = c.shape.center, c.shape.radius
         nx, ny = line.normal
@@ -471,44 +451,29 @@ def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> HausdorffResult:
     return HausdorffResult(ab, ba, max(ab, ba))
 
 
-def _range_gap(lo: float, hi: float, r: float) -> float:
-    """Distance from ``r`` to the interval [lo, hi]."""
-    if lo <= r <= hi:
-        return 0.0
-    return min(abs(lo - r), abs(hi - r))
-
-
 def _boundary_min_distance(a: SceneComponent, b: SceneComponent) -> float:
-    """Minimum distance between the two boundary curves."""
+    """Minimum distance between the two boundary curves.
+
+    A scene holds circles only (a packing) or polygons only, so a circle and
+    a polygon raise :class:`InvalidShapeError`.
+    """
     sa, sb = a.shape, b.shape
     if isinstance(sa, Circle) and isinstance(sb, Circle):
         d = math.hypot(sa.center.x - sb.center.x, sa.center.y - sb.center.y)
-        # distance from circle b's radius to the range of |q - center_b|, q on a
-        return _range_gap(abs(d - sa.radius), d + sa.radius, sb.radius)
-    if isinstance(sa, Circle):
-        return _boundary_min_distance(b, a)
-    va = sa.vertices
-    ea1, ea2 = va, np.roll(va, -1, axis=0)
-    if isinstance(sb, Circle):
-        c = sb.center.as_array()[None, :]
-        best = math.inf
-        dlo = segment_distance(c, ea1, ea2)[0]
-        dends = np.hypot(va[:, 0] - sb.center.x, va[:, 1] - sb.center.y)
-        dhi = np.maximum(dends, np.roll(dends, -1))
-        for lo, hi in zip(dlo, dhi):
-            best = min(best, _range_gap(lo, hi, sb.radius))
-        return best
-    vb = sb.vertices
+        # |q - center_b| over q on circle a fills [lo, hi]; the gap is the
+        # distance from circle b's radius to that range
+        lo, hi = abs(d - sa.radius), d + sa.radius
+        return max(lo - sb.radius, sb.radius - hi, 0.0)
+    if isinstance(sa, Circle) or isinstance(sb, Circle):
+        raise InvalidShapeError("no boundary distance between a circle and a polygon")
+    va, vb = sa.vertices, sb.vertices
     for i in range(len(va)):
         for j in range(len(vb)):
             if _segments_properly_intersect(va[i], va[(i + 1) % len(va)],
                                             vb[j], vb[(j + 1) % len(vb)]):
                 return 0.0
-    best = min(
-        float(segment_distance(vb, ea1, ea2).min()),
-        float(segment_distance(va, vb, np.roll(vb, -1, axis=0)).min()),
-    )
-    return best
+    return min(float(segment_distance(vb, va, np.roll(va, -1, axis=0)).min()),
+               float(segment_distance(va, vb, np.roll(vb, -1, axis=0)).min()))
 
 
 def component_closures_intersect(a: SceneComponent, b: SceneComponent, tol: float = TOL) -> bool:
@@ -534,10 +499,9 @@ def component_closures_intersect(a: SceneComponent, b: SceneComponent, tol: floa
 
 def _region_probe_points(c: SceneComponent) -> np.ndarray:
     if isinstance(c.shape, Circle):
-        ctr, r = c.shape.center, c.shape.radius
-        th = np.linspace(0, 2 * math.pi, 16, endpoint=False)
-        ring = np.column_stack([ctr.x + r * np.cos(th), ctr.y + r * np.sin(th)])
-        return np.vstack([[ctr.x, ctr.y], ring])
+        ctr = c.shape.center
+        return np.vstack([[ctr.x, ctr.y],
+                          sample_circle(ctr.x, ctr.y, c.shape.radius, 16)])
     return c.shape.vertices
 
 

@@ -50,11 +50,6 @@ class DyadicCube:
         return 2.0 ** (-self.level)
 
     @property
-    def center(self) -> tuple[float, float]:
-        s = self.side
-        return ((self.ix + 0.5) * s, (self.iy + 0.5) * s)
-
-    @property
     def bounds(self) -> tuple[float, float, float, float]:
         s = self.side
         return (self.ix * s, self.iy * s, (self.ix + 1) * s, (self.iy + 1) * s)

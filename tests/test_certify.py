@@ -15,6 +15,7 @@ from detourkit.domains import DiskDomain, PolygonDomain
 import detourkit
 from detourkit.errors import InvalidShapeError, MissingFitError
 from detourkit.fractals import (FractalApproximation, FractalLevel,
+                                TangentCircleTriple, apollonian,
                                 carpet_levels, gasket_levels)
 from detourkit.geometry import Line
 from detourkit.whitney import refine_for_qh, whitney_decompose
@@ -266,6 +267,95 @@ class TestRemovability:
         rep = ct.removability_certificate(gasket8, ct.function_of("x2+y"),
                                           3.0, 3, scene=scene8, grid=32)
         assert "sample_doubling_delta" in rep.resolution
+
+
+def _per_object_removability(f, fn, p, m, n_boundary=512, grid=256):
+    """The removability sum from one scene component per hole, with each
+    kind's diameter and area read off the component's shape: a reference
+    for the certificate, which reads both from the flat hole arrays."""
+    scene = FractalScene(f)
+    keep = scene.hole_levels <= m
+    comps = [scene.holes[k] for k in range(int(keep.sum()))]
+    levels = scene.hole_levels[keep]
+    diams, areas = [], []
+    for comp in comps:
+        if f.kind == "gasket":
+            v = comp.shape.vertices
+            width = float(v[:, 0].max() - v[:, 0].min())
+            diams.append(width)
+            areas.append(math.sqrt(3.0) / 4.0 * width * width)
+        elif f.kind == "carpet":
+            v = comp.shape.vertices
+            side = float(v[:, 0].max() - v[:, 0].min())
+            diams.append(side * math.sqrt(2.0))
+            areas.append(side * side)
+        else:
+            r = comp.shape.radius
+            diams.append(2.0 * r)
+            areas.append(math.pi * r * r)
+    diams, areas = np.asarray(diams), np.asarray(areas)
+
+    def image(n):
+        out = []
+        for comp in comps:
+            vals = fn.values(comp.boundary_points(n))
+            out.append(float(vals.max() - vals.min()))
+        return np.array(out)
+
+    img, img2 = image(n_boundary), image(2 * n_boundary)
+    value = math.fsum(img * diams)
+    x0, y0, x1, y1 = scene.outer.bbox()
+    pad = 0.25 * max(x1 - x0, y1 - y0)
+    gx = np.linspace(x0 - pad, x1 + pad, grid, endpoint=False) \
+        + (x1 - x0 + 2 * pad) / (2 * grid)
+    gy = np.linspace(y0 - pad, y1 + pad, grid, endpoint=False) \
+        + (y1 - y0 + 2 * pad) / (2 * grid)
+    mx, my = np.meshgrid(gx, gy, indexing="ij")
+    nodes = np.column_stack([mx.ravel(), my.ravel()])
+    cell = ((x1 - x0 + 2 * pad) / grid) * ((y1 - y0 + 2 * pad) / grid)
+    grad_int = float(np.sum(fn.grad_norm(nodes) ** p)) * cell
+    pprime = p / (p - 1.0)
+    core = float(np.sum(areas)) ** (1.0 / pprime) * grad_int ** (1.0 / p)
+    return {"value": value, "tail": math.fsum(img2 * diams) - value,
+            "bound_core": core,
+            "per_level": [math.fsum(img[levels == j] * diams[levels == j])
+                          for j in range(1, m + 1)]}
+
+
+def _packing(min_radius):
+    return apollonian(TangentCircleTriple.three_unit(), min_radius)
+
+
+class TestRemovabilityAgainstPerObject:
+    """The certificate reads hole diameters, areas and boundary samples from
+    the flat arrays.  The packing's values match the per-object reference to
+    the bit; the carpet's move by ulps, since its diameters are sqrt2 3^-j
+    rather than the width of the generated square times sqrt2."""
+
+    @pytest.mark.parametrize("make, m, fn, rel", [
+        (lambda: carpet_levels(4), 3, "x2+y", 1e-15),
+        (lambda: _packing(0.05), 2, "sinsin", 0.0),
+        # m beyond the generated levels
+        (lambda: gasket_levels(3), 5, "x2+y", 0.0),
+        (lambda: carpet_levels(2), 4, "x2+y", 1e-15),
+        (lambda: _packing(0.2), None, "x2+y", 0.0),
+    ])
+    def test_report_matches(self, make, m, fn, rel):
+        f = make()
+        m = f.max_level + 2 if m is None else m
+        sample = ct.function_of(fn)
+        rep = ct.removability_certificate(f, sample, 3.0, m)
+        ref = _per_object_removability(f, sample, 3.0, m)
+        got = {"value": rep.value, "tail": rep.converged_tail,
+               "bound_core": rep.resolution["bound_core"],
+               "per_level": rep.resolution["per_level"]}
+        if rel == 0.0:
+            assert got == ref
+        else:
+            for key in ("value", "tail", "bound_core"):
+                assert got[key] == pytest.approx(ref[key], rel=rel, abs=0), key
+            assert got["per_level"] == pytest.approx(ref["per_level"],
+                                                     rel=rel, abs=0)
 
 
 class TestCarpetCounterexample:

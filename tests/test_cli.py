@@ -1,7 +1,8 @@
 import hashlib
 import json
+from pathlib import Path
 
-from detourkit.cli import main
+from detourkit.cli import RunConfig, build_parser, main
 
 
 def run(tmp_path, *args):
@@ -98,6 +99,22 @@ class TestGoldenArtifacts:
     CARPET_DETOUR_DIGEST = \
         "4edff052cb00c3f9c701c871db459f6309d5d501a02226883658bbb998c037c4"
 
+    # removability reports of gasket runs, keyed by (--levels, --m); with m
+    # above the generated levels the deeper per-level sums are 0
+    REMOVABILITY_DIGESTS = {
+        ("8", "6"):
+            "15999d41672b8b7a9530daae92a7a657dc81e2843ac56e798bbba65dcc6bd9f5",
+        ("3", "5"):
+            "1e5c263844ae66fdfab8b4d5a5d6463b8575dc0e9a93d2ad5d45e30ecb4c4408",
+    }
+
+    def test_gasket_removability_digests(self, tmp_path):
+        for (levels, m), digest in self.REMOVABILITY_DIGESTS.items():
+            assert run(tmp_path, "certify", "--scene", "gasket", "--levels",
+                       levels, "--what", "removability", "--m", m) == 0
+            blob = (tmp_path / "certificate_removability.json").read_bytes()
+            assert hashlib.sha256(blob).hexdigest() == digest, (levels, m)
+
     def test_carpet4_violation_order(self, tmp_path):
         assert run(tmp_path, "detour", "--scene", "carpet", "--levels", "4",
                    "--epsilon", "0.2", "--lines", "4", "--seed", "1") == 2
@@ -154,9 +171,10 @@ class TestCertifyAndCarpet:
 
     def test_packing_detour_lines_exceptional(self, tmp_path):
         # epsilon 0.9 resolves at a packing level, whose solids are not
-        # polygons, so every line is recorded as exceptional
+        # polygons, so every line is recorded as exceptional; with no line
+        # checked the run certifies nothing and exits 2
         assert run(tmp_path, "detour", "--scene", "apollonian",
-                   "--epsilon", "0.9", "--lines", "4") == 0
+                   "--epsilon", "0.9", "--lines", "4") == 2
         lines = json.loads((tmp_path / "detour.json").read_text())["lines"]
         assert [e["status"] for e in lines] == ["exceptional"] * 4
         assert all("no polygonal solids" in e["reason"] for e in lines)
@@ -169,3 +187,29 @@ class TestCertifyAndCarpet:
         assert code == 2
         data = json.loads((tmp_path / "detour.json").read_text())
         assert any(e["status"] == "failed" for e in data["lines"])
+
+
+class TestParser:
+    def test_flags_types_and_defaults(self, monkeypatch):
+        monkeypatch.delenv("DETOURKIT_OUT", raising=False)
+        assert vars(build_parser().parse_args(["whitney"])) == {
+            "command": "whitney", "scene": "gasket", "seed": 0,
+            "epsilon": 0.05, "p": 3.0, "levels": 5, "cutoff": 10,
+            "lines": 20, "samples": 64, "min_radius": 0.05, "m": 4,
+            "y0": 0.5, "what": "integrated-measure", "fn": "x2+y",
+            "map": "z2-16/27z", "grid": 256, "max_iter": 64,
+            "qh_bound": 1.0 / 3.0, "output_dir": Path("detourkit-out")}
+
+    def test_every_flag_parses(self):
+        argv = ["qhyp", "--scene", "disk", "--seed", "3", "--epsilon", "0.1",
+                "--p", "4", "--levels", "6", "--cutoff", "7", "--lines", "8",
+                "--samples", "9", "--min-radius", "0.2", "--m", "2",
+                "--y0", "0.25", "--what", "removability", "--fn", "x",
+                "--map", "z2+lambda/z2", "--grid", "32", "--max-iter", "5",
+                "--qh-bound", "0.25", "--output-dir", "o"]
+        cfg = RunConfig(**vars(build_parser().parse_args(argv)))
+        assert cfg == RunConfig("qhyp", "disk", 3, 0.1, 4.0, 6, 7, 8, 9, 0.2,
+                                2, 0.25, "removability", "x", "z2+lambda/z2",
+                                32, 5, 0.25, Path("o"))
+        assert all(type(getattr(cfg, f)) is type(getattr(RunConfig(""), f))
+                   for f in ("seed", "epsilon", "p", "min_radius", "qh_bound"))

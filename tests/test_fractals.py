@@ -6,13 +6,15 @@ import pytest
 
 from detourkit.errors import IllConditionedError, ResourceLimitError
 from detourkit.fractals import (CARPET_MAX_LEVEL, GASKET_MAX_LEVEL,
-                                TangentCircleTriple, _interstice_corners,
+                                HoleComponents, TangentCircleTriple,
+                                _interstice_corners,
                                 apollonian,
                                 cantor_staircase, carpet_levels,
                                 gasket_levels, julia_raster, raster_to_pgm,
                                 soddy_circles, staircase_array,
                                 verify_nested_construction)
-from detourkit.geometry import Circle, Point, SceneComponent
+from detourkit.geometry import (Circle, Point, SceneComponent,
+                                _polygon_signed_area)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -131,6 +133,40 @@ class TestHoleLevels:
             assert levels.tolist() == expect
             assert [c.index for c in f.hole_components(top)] \
                 == list(range(1, len(levels) + 1))
+
+
+class TestHoleArrays:
+    KINDS = [gasket_levels(3), carpet_levels(2),
+             apollonian(TangentCircleTriple.three_unit(), 0.1)]
+    IDS = ["gasket", "carpet", "apollonian"]
+
+    @pytest.mark.parametrize("f", KINDS, ids=IDS)
+    def test_boundary_points_match_components(self, f):
+        holes = HoleComponents(f)
+        for pos in range(len(holes)):
+            for n in (7, 64):
+                assert np.array_equal(holes.boundary_points(pos, n),
+                                      holes[pos].boundary_points(n))
+
+    @pytest.mark.parametrize("f", KINDS, ids=IDS)
+    def test_areas_follow_diameters(self, f):
+        for j in range(f.max_level + 1):
+            comps = [c for c, lv in zip(f.hole_components(j), f.hole_levels(j))
+                     if lv == j]
+            if f.kind == "apollonian":
+                expect = [math.pi * c.shape.radius ** 2 for c in comps]
+            else:
+                expect = [_polygon_signed_area(c.shape.vertices) for c in comps]
+            assert f.hole_areas(j) == pytest.approx(expect, rel=1e-14, abs=0)
+
+    def test_positions_are_non_negative_ints(self):
+        holes = HoleComponents(gasket_levels(2))
+        assert holes[np.int64(3)].index == 4
+        for pos in (-1, len(holes)):
+            with pytest.raises(IndexError):
+                holes[pos]
+        with pytest.raises(TypeError):
+            holes[:2]
 
 
 class TestSoddy:

@@ -92,6 +92,12 @@ class TestLineComponentHits:
         assert hits[1].lo == pytest.approx(3.0, abs=1e-9)
         assert hits[1].hi == pytest.approx(4.0, abs=1e-9)
 
+    def test_unbounded_component_rejected(self):
+        # every line meets the closed exterior in two rays
+        outer = SceneComponent(0, Circle(Point(0.0, 0.0), 5.0), bounded=False)
+        with pytest.raises(InvalidShapeError):
+            line_component_hits(Line.horizontal(0.0), outer)
+
 
 class TestHausdorff:
     def test_identical_sets(self):
@@ -169,6 +175,14 @@ class TestClosuresIntersect:
         assert not component_closures_intersect(outer, inside, 1e-9)
         touching = SceneComponent(1, Circle(Point(4.0, 0.0), 1.0))
         assert component_closures_intersect(outer, touching, 1e-9)
+
+    def test_circle_and_polygon_rejected(self):
+        # no scene mixes circles and polygons; apart, the pair reaches the
+        # boundary distance, which has no circle-polygon case
+        tri = SceneComponent(2, Polygon(np.array(
+            [[3.0, 0.0], [4.0, 0.0], [4.0, 1.0]])))
+        with pytest.raises(InvalidShapeError):
+            component_closures_intersect(unit_circle(1), tri, 1e-9)
 
 
 class TestStackedKernels:

@@ -190,6 +190,20 @@ class TestHolderFit:
         with pytest.raises(ValueError):
             solver.holder_fit(solver.default_basepoint(), 8)
 
+    def test_bisection_below_alpha_one(self, solver):
+        # with 64 samples c(alpha) runs from 0.194 at the alpha floor (the
+        # excess of a c_max = 0 report) to 0.268 at alpha = 1, so a c_max
+        # between them is met only below alpha = 1, where the bisection stops
+        x0 = solver.default_basepoint()
+        floor_c = solver.holder_fit(x0, 64, c_max=0.0).worst_excess
+        assert floor_c < 0.23 < solver.holder_fit(x0, 64).fit.c
+        rep = solver.holder_fit(x0, 64, c_max=0.23)
+        assert rep.status == "ok"
+        assert rep.alpha_floor < rep.fit.alpha < 1.0
+        assert rep.fit.c <= 0.23
+        looser = solver.holder_fit(x0, 64, c_max=0.25)
+        assert looser.status == "ok" and looser.fit.alpha > rep.fit.alpha
+
 
 class TestCubeSums:
     def test_beta_one_ratio_bounded(self, disk, solver):
