@@ -20,7 +20,8 @@ from .detour import FractalScene, check_exceptional, near_line
 from .domains import DiskDomain, Domain, PolygonDomain
 from .errors import InvalidShapeError, MissingFitError
 from .fractals import FractalApproximation, carpet_levels, staircase_array
-from .geometry import Line, line_component_hits
+from .geometry import (Line, SceneComponent, line_component_hits,
+                       polygons_line_hits)
 from .qhyp import FitReport, HolderFit, ShadowTable
 from .whitney import WhitneyDecomposition
 
@@ -156,8 +157,6 @@ def measure_zero_bound(f: FractalApproximation, line: Line, m: int,
     check_exceptional(line, f, min(m + 1, depth))
 
     # measure of the line inside the outer boundary curve's region
-    from .geometry import SceneComponent
-
     outer_region = SceneComponent(1, scene.outer.shape)
     region_hits = line_component_hits(line, outer_region)
     inside_len = math.fsum(iv.length for iv in region_hits)
@@ -165,15 +164,19 @@ def measure_zero_bound(f: FractalApproximation, line: Line, m: int,
     tmid = float(line.project(np.array([[(x0 + x1) / 2, (y0 + y1) / 2]]))[0])
     span = 4.0 * max(x1 - x0, y1 - y0, 1.0)
 
+    holes = scene.holes.vertices
+    near = near_line(line, holes)
     hole_ivs = []
-    met_deeper: list[float] = []
-    for k in near_line(line, scene.holes.vertices).tolist():
-        comp = scene.holes[k]
-        hits = line_component_hits(line, comp)
+    met = []
+    for k, hits in zip(near.tolist(), polygons_line_hits(line, holes[near])):
         if scene.hole_levels[k] <= m:
             hole_ivs.extend(hits)
         elif hits:
-            met_deeper.append(float(comp.diameter()))
+            met.append(k)
+    # diameter: the largest vertex-pair distance of each met hole
+    v = holes[met]
+    d2 = np.sum((v[:, :, None, :] - v[:, None, :, :]) ** 2, axis=-1)
+    met_deeper = np.sqrt(d2.max(axis=(1, 2))).tolist()
     covered = _merged_hit_length(hole_ivs, tmid - span, tmid + span)
     value = max(inside_len - covered, 0.0)
     bound = 3.0 * math.fsum(met_deeper)

@@ -19,10 +19,12 @@ import numpy as np
 
 from .errors import ExceptionalLineError, InvalidShapeError, ResolutionError
 from .fractals import FractalApproximation, HoleComponents
-from .geometry import (POINT_SEGMENT_CHUNK, Interval1D, Line, Polygon,
+# line_component_hits has no caller here, but perfbench's tracer wraps the
+# name in this module as well as in geometry and certify
+from .geometry import (POINT_SEGMENT_CHUNK, Interval1D, Line, Polygon,  # noqa: F401
                        SceneComponent, component_closures_intersect,
                        line_component_hits, points_in_polygon,
-                       polygon_line_hits, segment_distance)
+                       polygons_line_hits, segment_distance)
 
 # the one incidence tolerance of the detour layer; the margins of near_line
 # and group_paths are derived from it
@@ -224,8 +226,8 @@ def solid_components(f: FractalApproximation, level: int) -> list[SceneComponent
 
 def near_line(line: Line, polys: np.ndarray) -> np.ndarray:
     """Indices of the polygons (n, k, 2) that may meet the line: a superset
-    of those the exact hit test (:func:`geometry.polygon_line_hits`) finds
-    at tol = ``VERTEX_TOL``.
+    of those the stacked hit test (:func:`geometry.polygons_line_hits`)
+    finds at tol = ``VERTEX_TOL``, which is run on the kept polygons only.
 
     A polygon is dropped when all its vertices lie on one side of the line
     beyond a margin.  An edge hit is a point of the line at edge parameter
@@ -250,10 +252,11 @@ def interval_cover(line: Line, f: FractalApproximation,
     the solids :func:`near_line` keeps go through the exact hit test.
     """
     polys = f.solid_polygons(level)
-    hits: list[CoverInterval] = []
-    for i in near_line(line, polys).tolist():
-        for iv in polygon_line_hits(line, polys[i], VERTEX_TOL):
-            hits.append(CoverInterval(iv, i, iv.degenerate))
+    near = near_line(line, polys)
+    hits = [CoverInterval(iv, i, iv.degenerate)
+            for i, ivs in zip(near.tolist(),
+                              polygons_line_hits(line, polys[near], VERTEX_TOL))
+            for iv in ivs]
     hits.sort(key=lambda h: (h.interval.lo, h.interval.hi))
     out: list[CoverInterval] = []
     cursor = -math.inf
@@ -324,39 +327,63 @@ def check_exceptional(line: Line, f: FractalApproximation, level: int) -> None:
             f"line passes within {d[j]:.2e} of vertex ({verts[j, 0]}, {verts[j, 1]})")
 
 
-def _arc_route(poly: np.ndarray, entry: np.ndarray,
-               exit_: np.ndarray) -> tuple[np.ndarray, float]:
-    """Boundary route (m, 2) from entry to exit along the smaller-diameter
-    side, and its diameter.
+def _arc_routes(polys: np.ndarray, entry: np.ndarray,
+                exit_: np.ndarray) -> tuple[list[np.ndarray], list[float]]:
+    """Boundary route (m, 2) from ``entry[i]`` to ``exit_[i]`` along polygon
+    ``polys[i]`` (c, k, 2), on the side of smaller diameter, and the
+    diameters.
 
-    Ties go to the counter-clockwise side (polygons are stored CCW).
+    Entry and exit lie on edges ei and xi.  The counter-clockwise route is
+    entry, vertices ei + 1 .. xi, exit; the clockwise one is entry, vertices
+    ei, ei - 1 .. xi + 1, exit; with ei == xi both are the segment.  Ties go
+    to the counter-clockwise side (polygons are stored CCW).  Both
+    candidates of every crossing sit in one (2, c, k + 2, 2) array, padded
+    with copies of the entry, which leave each diameter unchanged.
     """
-    n = len(poly)
-    d = segment_distance(np.vstack([entry, exit_]), poly, np.roll(poly, -1, axis=0))
-    for dj in d.min(axis=1).tolist():
-        if dj > 100 * VERTEX_TOL:
-            raise RuntimeError(f"point not on polygon boundary (distance {dj:.2e})")
-    ei, xi = d.argmin(axis=1).tolist()
+    c, k = polys.shape[:2]
+    d = segment_distance(np.stack([entry, exit_], axis=1), polys[:, None],
+                         np.roll(polys, -1, axis=1)[:, None])     # (c, 2, k)
+    gap = d.min(axis=2).ravel()
+    off = np.flatnonzero(gap > 100 * VERTEX_TOL)
+    if len(off):
+        raise RuntimeError(
+            f"point not on polygon boundary (distance {gap[off[0]]:.2e})")
+    ei, xi = d.argmin(axis=2).T
+    j = np.arange(k)
+    count = np.stack([(xi - ei) % k, (ei - xi) % k])               # (2, c)
+    vidx = np.stack([ei[:, None] + 1 + j, ei[:, None] - j]) % k    # (2, c, k)
+    rows = np.arange(c)
+    cand = np.empty((2, c, k + 2, 2))
+    cand[...] = entry[:, None]
+    cand[:, :, 1:-1] = np.where((j < count[..., None])[..., None],
+                                polys[rows[:, None], vidx], entry[:, None])
+    cand[0, rows, count[0] + 1] = exit_
+    cand[1, rows, count[1] + 1] = exit_
+    x, y = cand[..., 0], cand[..., 1]
+    d2 = ((x[..., :, None] - x[..., None, :]) ** 2
+          + (y[..., :, None] - y[..., None, :]) ** 2)
+    diam = np.sqrt(d2.max(axis=(2, 3)))                             # (2, c)
+    side = (diam[0] > diam[1]).astype(np.intp)
+    routes = [cand[s, r, :n + 2] for r, s, n in
+              zip(rows.tolist(), side.tolist(), count[side, rows].tolist())]
+    return routes, diam[side, rows].tolist()
 
-    def walk_ccw(e, end_edge, a, b):
-        pts = [a]
-        while e != end_edge:
-            e = (e + 1) % n
-            pts.append(poly[e])
-        pts.append(b)
-        return np.asarray(pts)
 
-    def diam(arr):
-        d2 = (arr[:, None, 0] - arr[None, :, 0]) ** 2 \
-            + (arr[:, None, 1] - arr[None, :, 1]) ** 2
-        return math.sqrt(float(d2.max()))
+def _missed_holes(scene: FractalScene, line: Line, touched) -> list[int]:
+    """The touched holes whose closures the line misses, in index order.
 
-    ccw = walk_ccw(ei, xi, entry, exit_)
-    if ei == xi:
-        return ccw, diam(ccw)
-    cw = walk_ccw(xi, ei, exit_, entry)[::-1]
-    d_ccw, d_cw = diam(ccw), diam(cw)
-    return (ccw, d_ccw) if d_ccw <= d_cw else (cw, d_cw)
+    One stacked hit test over the flat hole arrays answers all of them;
+    the arrays are counter-clockwise, as a hole's ``Polygon`` stores them.
+    Component 0 is skipped: every line meets the unbounded closure.
+    """
+    ks = sorted(k for k in touched if k)
+    if not ks:
+        return []
+    if scene.holes.vertices is None:
+        raise InvalidShapeError("line hits need polygonal holes, not circles")
+    hits = polygons_line_hits(line, scene.holes.vertices[np.asarray(ks) - 1],
+                              VERTEX_TOL)
+    return [k for k, h in zip(ks, hits) if not h]
 
 
 def _locate_path_points(scene: FractalScene, gaps: np.ndarray, a: np.ndarray,
@@ -424,11 +451,15 @@ def detour_path(line: Line, f: FractalApproximation, epsilon: float,
     half_span = 2.0 * max(bx1 - bx0, by1 - by0, 1.0)
     t_lo, t_hi = tmid - half_span, tmid + half_span
 
+    arcs = [cv for cv in cover if not cv.degenerate]
+    ends = np.array([(cv.interval.lo, cv.interval.hi) for cv in arcs]).reshape(-1, 2)
+    routes, diams = _arc_routes(solids[[cv.solid for cv in arcs]],
+                                line.point_at(ends[:, 0]), line.point_at(ends[:, 1]))
+
     points: list[np.ndarray] = [line.point_at(t_lo)]
     arc_margins: list[float] = []
     cursor = t_lo
     gap_ts: list[float] = []
-    routes: list[np.ndarray] = []
     # in walk order: ("gap", gap number), ("arc", solid, route number) or
     # ("violation", text)
     events: list[tuple] = []
@@ -438,25 +469,23 @@ def detour_path(line: Line, f: FractalApproximation, epsilon: float,
             events.append(("gap", len(gap_ts)))
             gap_ts.append((a + b) / 2.0)
 
+    r = 0
     for cv in cover:
         iv = cv.interval
         mark_gap(cursor, iv.lo)
-        entry = line.point_at(iv.lo)
-        exit_ = line.point_at(iv.hi)
-        points.append(entry)
+        cursor = iv.hi
         if cv.degenerate:
+            points.append(line.point_at(iv.lo))
             arc_margins.append(0.0)
-            cursor = iv.hi
             continue
-        route, arc_diam = _arc_route(solids[cv.solid], entry, exit_)
+        arc_diam = diams[r]
         arc_margins.append(arc_diam)
         if arc_diam >= epsilon:
             events.append(("violation",
                            f"replacement arc diameter {arc_diam:.4f} >= epsilon {epsilon}"))
-        events.append(("arc", cv.solid, len(routes)))
-        routes.append(route)
-        points.append(route[1:])
-        cursor = iv.hi
+        events.append(("arc", cv.solid, r))
+        points.append(routes[r])   # starts at the entry point
+        r += 1
     mark_gap(cursor, t_hi)
     points.append(line.point_at(t_hi))
 
@@ -493,10 +522,8 @@ def detour_path(line: Line, f: FractalApproximation, epsilon: float,
     haus = float(line.distance_to_points(polyline).max())
     if haus > epsilon:
         violations.append(f"path strays {haus:.4f} from the line (eps {epsilon})")
-    for k in sorted(touched):
-        if k != 0 and not line_component_hits(line, scene.component(k),
-                                              VERTEX_TOL):
-            violations.append(f"touched component {k} is missed by the line")
+    for k in _missed_holes(scene, line, touched):
+        violations.append(f"touched component {k} is missed by the line")
 
     path = DetourPath(polyline, frozenset(touched), line, epsilon, level,
                       tuple(arc_margins))
@@ -552,12 +579,7 @@ def verify_detour(p: DetourPath, f: FractalApproximation,
         coverage_margin = math.inf
     coverage_ok = coverage_margin <= 100 * VERTEX_TOL
 
-    missed = []
-    for k in sorted(p.touched):
-        if k == 0:
-            continue  # every scene line meets the unbounded closure
-        if not line_component_hits(p.line, scene.component(k), VERTEX_TOL):
-            missed.append(k)
+    missed = _missed_holes(scene, p.line, p.touched)
     return VerifyReport(hausdorff_ok, haus, len(p.touched) < math.inf,
                         len(p.touched), coverage_ok, coverage_margin,
                         not missed, missed)

@@ -37,9 +37,6 @@ class Point:
     def __post_init__(self) -> None:
         _require_finite(self.x, self.y)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
-
 
 @dataclass(frozen=True)
 class Line:
@@ -249,13 +246,6 @@ class SceneComponent:
         v = self.shape.vertices
         return (v[:, 0].min(), v[:, 1].min(), v[:, 0].max(), v[:, 1].max())
 
-    def diameter(self) -> float:
-        if isinstance(self.shape, Circle):
-            return 2.0 * self.shape.radius
-        v = self.shape.vertices
-        d2 = np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=-1)
-        return math.sqrt(float(d2.max()))
-
     def boundary_points(self, n: int) -> np.ndarray:
         """Roughly arc-length uniform boundary sample, vertices included."""
         if isinstance(self.shape, Circle):
@@ -342,22 +332,6 @@ def sample_polygon_boundary(vertices: np.ndarray, n: int) -> np.ndarray:
 # scene-level operations
 # ---------------------------------------------------------------------------
 
-def distance_to_component(p: Point, c: SceneComponent) -> float:
-    """Euclidean distance from ``p`` to the boundary curve of ``c``."""
-    return float(c.boundary_distance(p.as_array()[None, :])[0])
-
-
-def _merge_close(params: np.ndarray, tol: float) -> np.ndarray:
-    if len(params) == 0:
-        return params
-    params = np.sort(params)
-    keep = [params[0]]
-    for t in params[1:]:
-        if t - keep[-1] > tol:
-            keep.append(t)
-    return np.asarray(keep)
-
-
 def line_component_hits(line: Line, c: SceneComponent, tol: float = TOL) -> list[Interval1D]:
     """Parameter intervals of the line lying in the closed region of the
     bounded component ``c``; tangency is reported as a degenerate interval.
@@ -384,52 +358,78 @@ def line_component_hits(line: Line, c: SceneComponent, tol: float = TOL) -> list
 
 def polygon_line_hits(line: Line, v: np.ndarray, tol: float = TOL) -> list[Interval1D]:
     """Hits of the closed region of the simple polygon with vertex array
-    ``v`` (k, 2); tangency is reported as a degenerate interval."""
-    if len(v) < 3:
+    ``v`` (k, 2): the one-polygon case of :func:`polygons_line_hits`."""
+    return polygons_line_hits(line, np.asarray(v, dtype=float)[None], tol)[0]
+
+
+def polygons_line_hits(line: Line, polys: np.ndarray,
+                       tol: float = TOL) -> list[list[Interval1D]]:
+    """Hits of the closed regions of the simple polygons (n, k, 2), one
+    interval list per polygon; tangency is reported as a degenerate interval.
+
+    A polygon's parameters are the line's crossings of its non-parallel
+    edges at edge parameter s within [-tol / scale, 1 + tol / scale], scale
+    its largest |coordinate| (at least 1).  Sorted, they are merged left to
+    right, a parameter within 10 tol of the last kept one being dropped.
+    The line lies in the region between kept neighbours whose midpoint is
+    strictly inside; with no such stretch, the first parameter is a touch
+    point if it lies within 10 tol of the boundary.  Every step runs on the
+    whole stack at once: the parameters sit in an (n, k) array padded with
+    +inf, and the merge is replayed column by column.
+    """
+    polys = np.asarray(polys, dtype=float)
+    n, k = polys.shape[0], polys.shape[1]
+    if k < 3:
         raise InvalidShapeError("degenerate polygon")
-    d = np.asarray(line.direction)
-    b = line.base
-    p = v
-    q = np.roll(v, -1, axis=0)
-    e = q - p
-    denom = d[0] * e[:, 1] - d[1] * e[:, 0]
-    w = p - b
-    params = []
-    scale = max(np.abs(v).max(), 1.0)
-    for i in range(len(v)):
-        if abs(denom[i]) < 1e-14:
-            continue  # parallel edge; endpoints come from the adjacent edges
-        # solve b + t d = p + s e for (t, s)
-        s = (w[i, 0] * d[1] - w[i, 1] * d[0]) / denom[i]
-        if -tol / scale <= s <= 1 + tol / scale:
-            t = (w[i, 0] * e[i, 1] - w[i, 1] * e[i, 0]) / denom[i]
-            params.append(t)
-    params = _merge_close(np.asarray(params, dtype=float), 10 * tol)
-    if len(params) == 0:
-        return []
-    out: list[Interval1D] = []
-    if len(params) == 1:
-        pt = line.point_at(params[0])
-        if polygon_boundary_distance(pt[None, :], v)[0] <= 10 * tol:
-            out.append(Interval1D(params[0], params[0]))
+    out: list[list[Interval1D]] = [[] for _ in range(n)]
+    dx, dy = line.direction
+    nxt = polys[:, (np.arange(k) + 1) % k]
+    e = nxt - polys
+    w = polys - line.base
+    denom = dx * e[..., 1] - dy * e[..., 0]
+    # a parallel edge has no crossing; its endpoints come from its neighbours
+    live = np.abs(denom) >= 1e-14
+    denom = np.where(live, denom, 1.0)
+    # solve b + t d = p + s e for (t, s)
+    s = (w[..., 0] * dy - w[..., 1] * dx) / denom
+    scale = np.maximum(np.abs(polys).max(axis=(1, 2)), 1.0)[:, None]
+    live &= (-tol / scale <= s) & (s <= 1 + tol / scale)
+    if not live.any():
         return out
-    mids = (params[:-1] + params[1:]) / 2.0
-    inside = points_in_polygon(line.point_at(mids), v)
-    i = 0
-    while i < len(mids):
-        if inside[i]:
-            j = i
-            while j + 1 < len(mids) and inside[j + 1]:
-                j += 1
-            out.append(Interval1D(params[i], params[j + 1]))
-            i = j + 1
-        else:
-            i += 1
-    if not out:
-        # all midpoints outside: the contact is a single touch point
-        pt = line.point_at(params[0])
-        if polygon_boundary_distance(pt[None, :], v)[0] <= 10 * tol:
-            out.append(Interval1D(params[0], params[0]))
+    t = np.where(live, (w[..., 0] * e[..., 1] - w[..., 1] * e[..., 0]) / denom,
+                 np.inf)
+    t.sort(axis=1)
+    keep = np.isfinite(t)
+    last = np.where(keep[:, 0], t[:, 0], 0.0)
+    for j in range(1, k):
+        keep[:, j] &= t[:, j] - last > 10 * tol
+        last = np.where(keep[:, j], t[:, j], last)
+    count = keep.sum(axis=1)
+    t = np.sort(np.where(keep, t, np.inf), axis=1)
+
+    crossed = np.zeros(n, dtype=bool)
+    if count.max() > 1:
+        pair = np.arange(k - 1) < (count - 1)[:, None]
+        mids = np.where(pair, (t[:, :-1] + t[:, 1:]) / 2.0, 0.0)
+        inside = points_in_polygon(line.point_at(mids), polys[:, None]) & pair
+        edge = np.diff(inside, prepend=False, append=False, axis=1)
+        rows, cols = np.nonzero(edge)
+        # runs of inside midpoints: edge holds (start, end + 1) pairs per row
+        for r, a, b in zip(rows[::2].tolist(), t[rows[::2], cols[::2]].tolist(),
+                           t[rows[1::2], cols[1::2]].tolist()):
+            out[r].append(Interval1D(a, b))
+        crossed = inside.any(axis=1)
+
+    # no stretch inside: the first parameter is a touch point or nothing
+    lone = np.flatnonzero((count > 0) & ~crossed)
+    if len(lone):
+        first = t[lone, 0]
+        gap = segment_distance(line.point_at(first), polys[lone],
+                               nxt[lone]).min(axis=1)
+        for r, a, g in zip(lone.tolist(), first.tolist(),
+                           (gap <= 10 * tol).tolist()):
+            if g:
+                out[r].append(Interval1D(a, a))
     return out
 
 

@@ -66,6 +66,50 @@ class TestMeasureZeroBound:
         with pytest.raises(ExceptionalLineError):
             ct.measure_zero_bound(gasket8, Line.horizontal(0.0), 3, scene=scene8)
 
+    @pytest.mark.parametrize("kind", ["gasket8", "carpet4"])
+    def test_equals_per_component_reference(self, kind, gasket8, scene8):
+        # the per-hole loop the stacked one replaced: line_component_hits on
+        # each hole's component, diameter from its Polygon's vertices
+        from detourkit.detour import near_line
+        from detourkit.errors import ExceptionalLineError
+        from detourkit.geometry import line_component_hits
+
+        f, scene = ((gasket8, scene8) if kind == "gasket8"
+                    else (carpet_levels(4), None))
+        scene = scene or FractalScene(f)
+        rng = np.random.default_rng(41)
+        checked = met = 0
+        for th, (x, y) in zip(rng.uniform(0.0, math.pi, 8),
+                              rng.uniform(0.1, 0.7, (8, 2)).tolist()):
+            c, s = math.cos(th), math.sin(th)
+            line = Line((c, s), y * c - x * s)   # through (x, y)
+            for m in (1, 3):
+                try:
+                    rep = ct.measure_zero_bound(f, line, m, scene=scene)
+                except ExceptionalLineError:
+                    continue
+                ivs, diams = [], []
+                for k in near_line(line, scene.holes.vertices).tolist():
+                    comp = scene.holes[k]
+                    hits = line_component_hits(line, comp)
+                    if scene.hole_levels[k] <= m:
+                        ivs.extend(hits)
+                    elif hits:
+                        v = comp.shape.vertices
+                        d2 = np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=-1)
+                        diams.append(math.sqrt(float(d2.max())))
+                x0, y0, x1, y1 = scene.outer.bbox()
+                tmid = float(line.project(np.array([[(x0 + x1) / 2, (y0 + y1) / 2]]))[0])
+                span = 4.0 * max(x1 - x0, y1 - y0, 1.0)
+                inside = math.fsum(iv.length for iv in line_component_hits(
+                    line, type(scene.outer)(1, scene.outer.shape)))
+                covered = ct._merged_hit_length(ivs, tmid - span, tmid + span)
+                assert rep.value.hex() == max(inside - covered, 0.0).hex()
+                assert rep.bound.hex() == (3.0 * math.fsum(diams)).hex()
+                checked += 1
+                met += len(diams)
+        assert checked >= 12 and met > 100
+
 
 class TestIntegratedMeasureBound:
     def test_gasket_exact_all_levels(self, gasket8):

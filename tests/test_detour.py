@@ -7,10 +7,11 @@ import pytest
 
 from detourkit import detour as dt
 from detourkit.certify import measure_zero_bound
-from detourkit.errors import ExceptionalLineError, ResolutionError
+from detourkit.errors import (ExceptionalLineError, InvalidShapeError,
+                              ResolutionError)
 from detourkit.fractals import (TangentCircleTriple, apollonian, carpet_levels,
                                 gasket_levels)
-from detourkit.geometry import (Line, component_closures_intersect,
+from detourkit.geometry import (Line, Polygon, component_closures_intersect,
                                 line_component_hits)
 
 SQRT3 = math.sqrt(3.0)
@@ -159,6 +160,37 @@ def reference_group_paths(paths, scene, tol=dt.VERTEX_TOL):
     return out
 
 
+def reference_arc_route(poly, entry, exit_):
+    """The per-crossing arc route that _arc_routes replaces: boundary route
+    from entry to exit on the smaller-diameter side, ties to CCW."""
+    n = len(poly)
+    d = dt.segment_distance(np.vstack([entry, exit_]), poly, np.roll(poly, -1, axis=0))
+    for dj in d.min(axis=1).tolist():
+        if dj > 100 * dt.VERTEX_TOL:
+            raise RuntimeError(f"point not on polygon boundary (distance {dj:.2e})")
+    ei, xi = d.argmin(axis=1).tolist()
+
+    def walk_ccw(e, end_edge, a, b):
+        pts = [a]
+        while e != end_edge:
+            e = (e + 1) % n
+            pts.append(poly[e])
+        pts.append(b)
+        return np.asarray(pts)
+
+    def diam(arr):
+        d2 = (arr[:, None, 0] - arr[None, :, 0]) ** 2 \
+            + (arr[:, None, 1] - arr[None, :, 1]) ** 2
+        return math.sqrt(float(d2.max()))
+
+    ccw = walk_ccw(ei, xi, entry, exit_)
+    if ei == xi:
+        return ccw, diam(ccw)
+    cw = walk_ccw(xi, ei, exit_, entry)[::-1]
+    d_ccw, d_cw = diam(ccw), diam(cw)
+    return (ccw, d_ccw) if d_ccw <= d_cw else (cw, d_cw)
+
+
 def probe_points(scene, rng):
     """Random points over the scene box, edge_owner_probes of solids and
     holes, hole centroids and hole vertices (exactly on hole boundaries)."""
@@ -223,6 +255,16 @@ class TestScene:
         assert [c.index for c in scene.holes] == [c.index for c in eager]
         assert all(np.array_equal(a.shape.vertices, b.shape.vertices)
                    for a, b in zip(scene.holes, eager))
+
+    @pytest.mark.parametrize("make", [lambda: gasket_levels(8),
+                                      lambda: carpet_levels(4)],
+                             ids=["gasket8", "carpet4"])
+    def test_hole_arrays_counter_clockwise(self, make):
+        # the stacked line-hit checks read the flat hole arrays in place of
+        # each hole's Polygon, which would reverse a clockwise array
+        holes = dt.FractalScene(make()).holes.vertices
+        for v in holes:
+            assert np.array_equal(Polygon(v).vertices, v)
 
     def test_gasket_hole_ids_follow_levels(self, gasket6, scene6):
         # locate derives its gasket hole ids from hole_levels; the centroid
@@ -386,6 +428,74 @@ class TestIntervalCover:
                        and cv.interval.hi <= h.hi + 1e-12 for h in hits)
 
 
+UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+
+
+class TestArcRoutes:
+    """_arc_routes answers all crossings of a line at once, with the routes
+    and diameters of the per-crossing reference_arc_route."""
+
+    def check(self, polys, entry, exit_):
+        routes, diams = dt._arc_routes(polys, entry, exit_)
+        assert len(routes) == len(diams) == len(polys)
+        for poly, a, b, route, dm in zip(polys, entry, exit_, routes, diams):
+            want, want_d = reference_arc_route(poly, a, b)
+            assert route.tobytes() == want.tobytes()
+            assert dm.hex() == want_d.hex()
+        return routes, diams
+
+    @pytest.mark.parametrize("make", [lambda: gasket_levels(8),
+                                      lambda: carpet_levels(4)],
+                             ids=["gasket8", "carpet4"])
+    def test_cover_crossings(self, make):
+        f = make()
+        rng = np.random.default_rng(9)
+        n = 0
+        for level in range(1, f.max_level + 1):
+            polys = f.solid_polygons(level)
+            for line in cover_lines(f, rng):
+                arcs = [cv for cv in dt.interval_cover(line, f, level)
+                        if not cv.degenerate]
+                ts = np.array([(cv.interval.lo, cv.interval.hi)
+                               for cv in arcs]).reshape(-1, 2)
+                self.check(polys[[cv.solid for cv in arcs]],
+                           line.point_at(ts[:, 0]).reshape(-1, 2),
+                           line.point_at(ts[:, 1]).reshape(-1, 2))
+                n += len(arcs)
+        assert n > 500
+
+    def test_entry_and_exit_on_one_edge(self):
+        routes, _ = self.check(UNIT_SQUARE[None], np.array([[0.2, 0.0]]),
+                               np.array([[0.7, 0.0]]))
+        assert routes[0].tolist() == [[0.2, 0.0], [0.7, 0.0]]
+
+    def test_diameter_tie_goes_ccw(self):
+        # bottom midpoint to top midpoint: both sides have diameter sqrt(5)/2
+        routes, diams = self.check(UNIT_SQUARE[None], np.array([[0.5, 0.0]]),
+                                   np.array([[0.5, 1.0]]))
+        assert routes[0].tolist() == [[0.5, 0.0], [1.0, 0.0], [1.0, 1.0], [0.5, 1.0]]
+        assert diams[0] == math.sqrt(1.25)
+        # off the middle the clockwise side is smaller; batched with the tie
+        polys = np.stack([UNIT_SQUARE, UNIT_SQUARE, UNIT_SQUARE])
+        routes, _ = self.check(polys, np.array([[0.5, 0.0], [0.2, 0.0], [0.9, 1.0]]),
+                               np.array([[0.5, 1.0], [0.0, 0.6], [1.0, 0.3]]))
+        assert routes[1].tolist() == [[0.2, 0.0], [0.0, 0.0], [0.0, 0.6]]
+        assert routes[2].tolist() == [[0.9, 1.0], [1.0, 1.0], [1.0, 0.3]]
+
+    def test_no_crossings(self):
+        assert dt._arc_routes(np.zeros((0, 3, 2)), np.zeros((0, 2)),
+                              np.zeros((0, 2))) == ([], [])
+
+    def test_point_off_boundary_raises(self):
+        polys = np.stack([UNIT_SQUARE, UNIT_SQUARE])
+        entry = np.array([[0.2, 0.0], [0.5, 0.0]])
+        exit_ = np.array([[0.0, 0.6], [0.5, 0.5]])
+        with pytest.raises(RuntimeError, match="not on polygon boundary"):
+            reference_arc_route(polys[1], entry[1], exit_[1])
+        with pytest.raises(RuntimeError, match=r"distance 5\.00e-01"):
+            dt._arc_routes(polys, entry, exit_)
+
+
 class TestDetourPath:
     def test_construction_passes(self, gasket6, scene6):
         rep = dt.detour_path(Line.horizontal(0.3), gasket6, 0.1, scene=scene6)
@@ -477,6 +587,15 @@ class TestVerifyDetour:
         ver = dt.verify_detour(tampered, gasket6, scene=scene6)
         assert not ver.line_hits_ok
         assert far.index in ver.missed_components
+
+    def test_packing_holes_rejected(self):
+        # packing holes are circles, which the stacked line-hit test of the
+        # touched holes does not take
+        f = apollonian(TangentCircleTriple.three_unit(), 0.05)
+        path = dt.DetourPath(np.zeros((2, 2)), frozenset({0, 1}),
+                             Line.horizontal(0.0), 0.1, 0)
+        with pytest.raises(InvalidShapeError, match="polygonal holes"):
+            dt.verify_detour(path, f)
 
     def test_coverage_gap_detected(self, gasket6, scene6):
         line = Line.horizontal(0.3)

@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from detourkit import detour as dt
+from detourkit.detour import VERTEX_TOL
 from detourkit.errors import EmptySetError, InvalidShapeError
 from detourkit.fractals import carpet_levels, gasket_levels
-from detourkit.geometry import (Circle, Interval1D, Line, Point, Polygon,
+from detourkit.geometry import (TOL, Circle, Interval1D, Line, Point, Polygon,
                                 SceneComponent, component_closures_intersect,
-                                distance_to_component, hausdorff_distance,
-                                line_component_hits, points_in_polygon,
-                                scene_from_json, scene_to_json,
-                                segment_distance)
+                                hausdorff_distance, line_component_hits,
+                                points_in_polygon, polygon_boundary_distance,
+                                polygons_line_hits, scene_from_json,
+                                scene_to_json, segment_distance)
 
 
 def unit_circle(index=1):
@@ -25,16 +27,18 @@ def unit_square(index=1):
 
 
 class TestDistanceToComponent:
+    """SceneComponent.boundary_distance: distance to the boundary curve."""
+
     def test_circle_center(self):
-        assert distance_to_component(Point(0, 0), unit_circle()) == 1.0
+        assert unit_circle().boundary_distance(np.array([[0.0, 0.0]]))[0] == 1.0
 
     def test_circle_outside_radial(self):
-        assert distance_to_component(Point(2, 0), unit_circle()) == 1.0
+        assert unit_circle().boundary_distance(np.array([[2.0, 0.0]]))[0] == 1.0
 
     def test_square_center(self):
         # oracle: min over the four edge distances of (0.5, 0.5)
         edges = [0.5, 0.5, 0.5, 0.5]
-        assert distance_to_component(Point(0.5, 0.5), unit_square()) == min(edges)
+        assert unit_square().boundary_distance(np.array([[0.5, 0.5]]))[0] == min(edges)
 
     def test_degenerate_polygon_rejected(self):
         with pytest.raises(InvalidShapeError):
@@ -43,9 +47,7 @@ class TestDistanceToComponent:
     @given(st.floats(-2, 2), st.floats(-2, 2), st.floats(-2, 2), st.floats(-2, 2))
     @settings(max_examples=300, deadline=None)
     def test_lipschitz(self, x1, y1, x2, y2):
-        comp = unit_square()
-        d1 = distance_to_component(Point(x1, y1), comp)
-        d2 = distance_to_component(Point(x2, y2), comp)
+        d1, d2 = unit_square().boundary_distance(np.array([[x1, y1], [x2, y2]]))
         assert abs(d1 - d2) <= math.hypot(x1 - x2, y1 - y2) + 1e-9
 
 
@@ -224,6 +226,123 @@ class TestStackedKernels:
             assert d[i].tobytes() == segment_distance(pts[i], polys[j], nxt[j])[0].tobytes()
             assert inside[i] == points_in_polygon(pts[i], polys[j])[0]
         assert inside.any() and not inside.all()
+
+
+def reference_polygon_line_hits(line, v, tol):
+    """The per-polygon line-hit test that polygons_line_hits replaces: one
+    edge at a time, then a sequential merge of the sorted parameters."""
+    d = np.asarray(line.direction)
+    b = line.base
+    e = np.roll(v, -1, axis=0) - v
+    denom = d[0] * e[:, 1] - d[1] * e[:, 0]
+    w = v - b
+    params = []
+    scale = max(np.abs(v).max(), 1.0)
+    for i in range(len(v)):
+        if abs(denom[i]) < 1e-14:
+            continue
+        s = (w[i, 0] * d[1] - w[i, 1] * d[0]) / denom[i]
+        if -tol / scale <= s <= 1 + tol / scale:
+            params.append((w[i, 0] * e[i, 1] - w[i, 1] * e[i, 0]) / denom[i])
+    params = np.sort(np.asarray(params, dtype=float))
+    if len(params):
+        keep = [params[0]]
+        for t in params[1:]:
+            if t - keep[-1] > 10 * tol:
+                keep.append(t)
+        params = np.asarray(keep)
+    if len(params) == 0:
+        return []
+    out = []
+    if len(params) == 1:
+        pt = line.point_at(params[0])
+        if polygon_boundary_distance(pt[None, :], v)[0] <= 10 * tol:
+            out.append(Interval1D(params[0], params[0]))
+        return out
+    mids = (params[:-1] + params[1:]) / 2.0
+    inside = points_in_polygon(line.point_at(mids), v)
+    i = 0
+    while i < len(mids):
+        if inside[i]:
+            j = i
+            while j + 1 < len(mids) and inside[j + 1]:
+                j += 1
+            out.append(Interval1D(params[i], params[j + 1]))
+            i = j + 1
+        else:
+            i += 1
+    if not out:
+        pt = line.point_at(params[0])
+        if polygon_boundary_distance(pt[None, :], v)[0] <= 10 * tol:
+            out.append(Interval1D(params[0], params[0]))
+    return out
+
+
+def _bits(ivs):
+    return [(iv.lo.hex(), iv.hi.hex()) for iv in ivs]
+
+
+def _line_through(p, q):
+    dx, dy = q[0] - p[0], q[1] - p[1]
+    return Line((dx, dy), (p[1] * dx - p[0] * dy) / math.hypot(dx, dy))
+
+
+def line_hit_lines(polys, rng):
+    """Seeded lines over the box of ``polys``, and lines through vertices:
+    horizontal, diagonal and along an edge of a polygon."""
+    lo, hi = polys.min(axis=(0, 1)), polys.max(axis=(0, 1))
+    lines = [_line_through(p, q) for p, q in rng.uniform(lo, hi, (6, 2, 2))]
+    for v in polys[rng.choice(len(polys), min(len(polys), 3), replace=False)]:
+        (x, y), nxt = v[0], v[1]
+        lines += [Line.horizontal(float(y)),
+                  Line((1.0, 1.0), (y - x) / math.sqrt(2.0)),
+                  _line_through(v[0], nxt)]
+    return lines
+
+
+def _polygon_sets():
+    sets = []
+    for name, f in (("gasket8", gasket_levels(8)), ("carpet4", carpet_levels(4))):
+        holes = dt.FractalScene(f).holes
+        sets += [(f"{name}-solids{j}", f.solid_polygons(j))
+                 for j in range(f.max_level + 1)]
+        sets += [(f"{name}-holes{j}", holes.vertices[holes.levels == j])
+                 for j in range(1, f.max_level + 1)]
+    return sets
+
+
+class TestStackedLineHits:
+    """polygons_line_hits gives, polygon for polygon, the interval list of
+    the per-polygon test it replaced."""
+
+    @pytest.mark.parametrize("tol", [VERTEX_TOL, TOL], ids=["vertex_tol", "tol"])
+    def test_equals_per_polygon_reference(self, tol):
+        rng = np.random.default_rng(5)
+        n_hit = n_touch = 0
+        for name, polys in _polygon_sets():
+            for line in line_hit_lines(polys, rng):
+                got = polygons_line_hits(line, polys, tol)
+                assert len(got) == len(polys)
+                # every polygon within reach of the line, and a sample of
+                # the rest; the rest must come back empty
+                near = dt.near_line(line, polys)
+                far = np.setdiff1d(np.arange(len(polys)), near)
+                check = np.union1d(near, rng.choice(far, min(len(far), 32),
+                                                    replace=False))
+                for i in check.tolist():
+                    want = reference_polygon_line_hits(line, polys[i], tol)
+                    # equal objects, and equal bits down to the sign of zero
+                    assert got[i] == want, (name, line, i)
+                    assert _bits(got[i]) == _bits(want), (name, line, i)
+                    n_hit += bool(want)
+                    n_touch += any(iv.lo == iv.hi for iv in want)
+                assert not any(got[i] for i in far.tolist())
+        assert n_hit > 1000 and n_touch > 10
+
+    def test_empty_stack(self):
+        assert polygons_line_hits(Line.horizontal(0.5), np.zeros((0, 3, 2))) == []
+        with pytest.raises(InvalidShapeError):
+            polygons_line_hits(Line.horizontal(0.5), np.zeros((1, 2, 2)))
 
 
 class TestTypesAndScene:
