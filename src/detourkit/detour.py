@@ -70,35 +70,50 @@ class FractalScene:
 
     def locate(self, pt) -> int | None:
         """Component index containing ``pt``; None inside the solid set."""
-        return self.locate_many(np.asarray(pt, dtype=float)[None, :])[0]
+        k = int(self.locate_many(np.asarray(pt, dtype=float)[None, :])[0])
+        return None if k < 0 else k
 
-    def locate_many(self, pts) -> list[int | None]:
-        """Component index containing each point (n, 2); None inside the
-        solid set.
+    def locate_many(self, pts) -> np.ndarray:
+        """Component index (n,) containing each point (n, 2); -1 in the solids.
 
         A hole contains the points strictly inside its boundary curve: the
         strict triangle test for the gasket, the half-open box that the
         crossing-number test gives an axis-aligned square for the carpet,
         and distance below radius - 1e-12 for a circle packing.  The outer
-        curve is tested for all points in one call; the gasket then descends
-        its tree per point, the carpet and the packing test blocks of points
-        against every hole.
+        curve is tested for all points in one call.  The gasket then
+        descends its nesting tree with all points at once, level by level:
+        the hole of solid i of level j - 1 is ``levels[j].holes[i]``, its
+        children are solids i, n + i and 2n + i of level j.  The carpet and
+        the packing test blocks of points against every hole.
         """
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-        out: list[int | None] = [0] * len(pts)
-        inner = np.flatnonzero(self.outer._inside_curve(pts, 0.0))
+        out = np.zeros(len(pts), dtype=np.intp)
+        idx = np.flatnonzero(self.outer._inside_curve(pts, 0.0))
+        out[idx] = -1
         if self.fractal.kind == "gasket":
-            for n, (x, y) in zip(inner.tolist(), pts[inner].tolist()):
-                out[n] = self._descend(x, y)
+            levels = self.fractal.levels
+            i = np.zeros(len(idx), dtype=np.intp)
+            p = pts[idx]
+            for j in range(1, self.max_level + 1):
+                v = levels[j].holes[i]                          # corners a, b, c
+                e, r = v.take((1, 2, 0), axis=1) - v, p[:, None] - v
+                d = e[..., 0] * r[..., 1] - e[..., 1] * r[..., 0]   # d1, d2, d3
+                hit = (d > 0).all(axis=1) | (d < 0).all(axis=1)
+                if hit.any():
+                    out[idx[hit]] = self._first_id[j] + i[hit]
+                    idx, i, p, d = idx[~hit], i[~hit], p[~hit], d[~hit]
+                # the hole (ab, bc, ca) is counter-clockwise; within the parent
+                # (a, b, c) the closed half-plane beyond its edge ca-ab is child
+                # (a, ab, ca), beyond ab-bc child (ab, b, bc), else (ca, bc, c)
+                child = np.where(d[:, 2] <= 0, 0, np.where(d[:, 0] <= 0, 1, 2))
+                i += child * len(levels[j - 1].solids)
             return out
-        for n in inner.tolist():
-            out[n] = None
         if not len(self.holes):
             return out
         rows = max(POINT_SEGMENT_CHUNK // len(self.holes), 1)
-        for lo in range(0, len(inner), rows):
-            idx = inner[lo:lo + rows]
-            x, y = pts[idx, :1], pts[idx, 1:]
+        for lo in range(0, len(idx), rows):
+            blk = idx[lo:lo + rows]
+            x, y = pts[blk, :1], pts[blk, 1:]
             if self.holes.vertices is None:
                 ctr = self.holes.centers
                 inside = np.hypot(x - ctr[:, 0], y - ctr[:, 1]) <= self.holes.radii - 1e-12
@@ -106,50 +121,26 @@ class FractalScene:
                 low, high = self.holes.vertices[:, 0], self.holes.vertices[:, 2]
                 inside = ((low[:, 0] <= x) & (x < high[:, 0])
                           & (low[:, 1] <= y) & (y < high[:, 1]))
-            first = inside.argmax(axis=1)
-            for n, k, hit in zip(idx.tolist(), first.tolist(),
-                                 inside[np.arange(len(idx)), first].tolist()):
-                if hit:
-                    out[n] = k + 1
+            hit = inside.any(axis=1)
+            out[blk[hit]] = inside[hit].argmax(axis=1) + 1
         return out
-
-    def _descend(self, x: float, y: float) -> int | None:
-        """Gasket location by descent of the nesting tree from the outer
-        triangle: the hole of solid i at level j - 1 is ``levels[j].holes[i]``
-        and its children are solids i, n + i and 2n + i of level j."""
-        levels = self.fractal.levels
-        i = 0
-        for j in range(1, self.max_level + 1):
-            (ax, ay), (bx, by), (cx, cy) = levels[j].holes[i].tolist()
-            d1 = (bx - ax) * (y - ay) - (by - ay) * (x - ax)
-            d2 = (cx - bx) * (y - by) - (cy - by) * (x - bx)
-            d3 = (ax - cx) * (y - cy) - (ay - cy) * (x - cx)
-            if (d1 > 0 and d2 > 0 and d3 > 0) or (d1 < 0 and d2 < 0 and d3 < 0):
-                return int(self._first_id[j]) + i
-            # the hole (ab, bc, ca) is counter-clockwise; within the parent
-            # (a, b, c) the closed half-plane beyond its edge ca-ab is child
-            # (a, ab, ca), beyond ab-bc child (ab, b, bc), else (ca, bc, c)
-            child = 0 if d3 <= 0 else (1 if d1 <= 0 else 2)
-            i += child * len(levels[j - 1].solids)
-        return None
 
     # -- array queries over the flat hole arrays ------------------------------
     # Each one equals, bit for bit, the per-component SceneComponent query it
     # replaces: geometry's kernels broadcast over the stacked hole polygons.
 
-    def _hole_planes(self, pts, pos, closed: bool = True):
-        """Boundary distance of the points (..., 2) to the holes at 0-based
-        positions ``pos``, broadcast against each other, and, if ``closed``,
-        the holes' closed containment of the points within ``VERTEX_TOL``
-        (None otherwise)."""
+    def _hole_distance(self, pts, pos, closed: bool = True):
+        """Distance of the points (..., 2) to the holes at 0-based positions
+        ``pos``, broadcast against each other: to the closed region within
+        ``VERTEX_TOL`` if ``closed`` (0 inside), else to the boundary curve."""
         h = self.holes
         if h.vertices is None:
             ctr, r = h.centers[pos], h.radii[pos]
             d = np.hypot(pts[..., 0] - ctr[..., 0], pts[..., 1] - ctr[..., 1])
-            return np.abs(d - r), (d <= r + VERTEX_TOL if closed else None)
+            return np.where(d <= r + VERTEX_TOL, 0.0, np.abs(d - r)) if closed else np.abs(d - r)
         v = h.vertices[pos]
-        d = segment_distance(pts, v, np.roll(v, -1, axis=-2)).min(axis=-1)
-        return d, (points_in_polygon(pts, v) | (d <= VERTEX_TOL) if closed else None)
+        d = segment_distance(pts, v, v.take(range(1 - v.shape[-2], 1), axis=-2)).min(axis=-1)
+        return np.where(points_in_polygon(pts, v) | (d <= VERTEX_TOL), 0.0, d) if closed else d
 
     def pair_boundary_distance(self, pts, ks) -> np.ndarray:
         """Distance from ``pts[i]`` to the boundary curve of component
@@ -160,28 +151,44 @@ class FractalScene:
         outer = ks == 0
         out[outer] = self.outer.boundary_distance(pts[outer])
         held = ~outer
-        out[held] = self._hole_planes(pts[held], ks[held] - 1, closed=False)[0]
+        out[held] = self._hole_distance(pts[held], ks[held] - 1, closed=False)
         return out
 
     def coverage_distance(self, pts, ks) -> np.ndarray:
         """Distance from each point (n, 2) to the union of the closed regions
         of the components ``ks``, shape (n,): the minimum over ``ks`` of
-        ``component(k).region_distance(pts, VERTEX_TOL)``."""
+        ``component(k).region_distance(pts, VERTEX_TOL)``.
+
+        A hole is no nearer than the larger axis gap from the point to its
+        bounding box.  One exact pair per point, the smallest of the nearest
+        boxes, bounds the minimum; only pairs whose box gap is within 1e-9
+        relative and 1e-12 absolute of it (above the rounding of both at
+        O(1) coordinates) reach the exact kernel, none for a point at 0, nor
+        the unbounded component.  Every dropped pair is farther than the
+        minimiser, so the minimum is bit for bit the all-pairs one.
+        """
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
         ks = np.asarray(ks, dtype=np.intp)
         out = np.full(len(pts), np.inf)
-        if np.any(ks == 0):
-            out = self.outer.region_distance(pts, VERTEX_TOL)
         pos = ks[ks > 0] - 1
-        if not len(pos):
-            return out
-        edges = 1 if self.holes.vertices is None else self.holes.vertices.shape[1]
-        rows = max(POINT_SEGMENT_CHUNK // (len(pos) * edges), 1)
-        for lo in range(0, len(pts), rows):
-            blk = pts[lo:lo + rows]
-            d, inside = self._hole_planes(blk[:, None], pos)
-            out[lo:lo + rows] = np.minimum(
-                out[lo:lo + rows], np.where(inside, 0.0, d).min(axis=1))
+        if len(pos):
+            box = self.hole_boxes(pos + 1)
+            size = box[:, 2] - box[:, 0] + box[:, 3] - box[:, 1]
+            rows = max(POINT_SEGMENT_CHUNK // len(pos), 1)
+            for lo in range(0, len(pts), rows):
+                blk = pts[lo:lo + rows]
+                x, y = blk[:, :1], blk[:, 1:]
+                lb = np.maximum(np.maximum(np.maximum(box[:, 0] - x, x - box[:, 2]),
+                                           np.maximum(box[:, 1] - y, y - box[:, 3])), 0.0)
+                nearest = lb == lb.min(axis=1, keepdims=True)
+                ub = self._hole_distance(blk, pos[np.where(nearest, size, np.inf).argmin(axis=1)])
+                cut = np.where(ub > 0.0, ub * (1 + 1e-9) + 1e-12, -1.0)
+                pi, hi = np.nonzero(lb <= cut[:, None])
+                np.minimum.at(ub, pi, self._hole_distance(blk[pi], pos[hi]))
+                out[lo:lo + rows] = ub
+        if np.any(ks == 0):
+            far = np.flatnonzero(out > 0.0)
+            out[far] = np.minimum(out[far], self.outer.region_distance(pts[far], VERTEX_TOL))
         return out
 
     def hole_boxes(self, ks) -> np.ndarray:
@@ -308,12 +315,23 @@ def _fractal_vertices(f: FractalApproximation, level: int) -> np.ndarray:
 
 def required_level(f: FractalApproximation, epsilon: float) -> int:
     """Smallest level whose solids are all smaller than ``epsilon``."""
-    for m in range(f.max_level + 1):
-        if f.max_solid_diameter(m) < epsilon:
+    for m, d in enumerate(f.max_solid_diameters):
+        if d < epsilon:
             return m
     raise ResolutionError(
         f"epsilon {epsilon} is below the resolution of the generated levels "
         f"(deepest level {f.max_level})")
+
+
+def _scene_for(f: FractalApproximation, level: int,
+               scene: FractalScene | None) -> FractalScene:
+    """``scene``, checked to hold ``f`` through ``level``, or a new one."""
+    if scene is None:
+        return FractalScene(f, level)
+    if scene.fractal is not f or scene.max_level < level:
+        raise ValueError("scene was built for another fractal" if scene.fractal is not f
+                         else f"scene stops at level {scene.max_level}, below {level}")
+    return scene
 
 
 def check_exceptional(line: Line, f: FractalApproximation, level: int) -> None:
@@ -342,7 +360,7 @@ def _arc_routes(polys: np.ndarray, entry: np.ndarray,
     """
     c, k = polys.shape[:2]
     d = segment_distance(np.stack([entry, exit_], axis=1), polys[:, None],
-                         np.roll(polys, -1, axis=1)[:, None])     # (c, 2, k)
+                         polys.take(range(1 - k, 1), axis=1)[:, None])   # (c, 2, k)
     gap = d.min(axis=2).ravel()
     off = np.flatnonzero(gap > 100 * VERTEX_TOL)
     if len(off):
@@ -398,8 +416,8 @@ def _locate_path_points(scene: FractalScene, gaps: np.ndarray, a: np.ndarray,
     midpoint.  The side +1 is tried first.  The offset is far above the
     incidence tolerance and far below any hole size at the working level.
     An edge shorter than ``tol`` has no owner.  All points are located in
-    one call.  Returns two lists, with None for a point inside the solid
-    set and for an edge without an owner.
+    one call.  Returns two index arrays, with -1 for a point inside the
+    solid set and for an edge without an owner.
     """
     mid = (a + b) / 2.0
     t = b - a
@@ -410,20 +428,15 @@ def _locate_path_points(scene: FractalScene, gaps: np.ndarray, a: np.ndarray,
     mid = mid[live]
     off = eps_out[:, None] * nrm
     found = scene.locate_many(np.vstack([gaps, mid + off, mid - off]))
-    gap_ks = found[:len(gaps)]
-    ks = np.array([-1 if k is None else k for k in found[len(gaps):]],
-                  dtype=np.intp).reshape(2, -1)      # rows: side +1, side -1
+    ks = found[len(gaps):].reshape(2, -1)      # rows: side +1, side -1
     cand = ks >= 0
     near = np.zeros_like(cand)
     lim = np.stack([100 * tol + 2 * eps_out] * 2)
     near[cand] = scene.pair_boundary_distance(
         np.stack([mid, mid])[cand], ks[cand]) <= lim[cand]
-    owner = np.where(near[0], ks[0], np.where(near[1], ks[1], -1))
-    owners: list[int | None] = [None] * len(a)
-    for e, k in zip(live.tolist(), owner.tolist()):
-        if k >= 0:
-            owners[e] = k
-    return gap_ks, owners
+    owners = np.full(len(a), -1, dtype=np.intp)
+    owners[live] = np.where(near[0], ks[0], np.where(near[1], ks[1], -1))
+    return found[:len(gaps)], owners
 
 
 def detour_path(line: Line, f: FractalApproximation, epsilon: float,
@@ -439,8 +452,7 @@ def detour_path(line: Line, f: FractalApproximation, epsilon: float,
         raise ValueError("epsilon must be positive")
     level = required_level(f, epsilon)
     check_exceptional(line, f, level)
-    if scene is None:
-        scene = FractalScene(f, level)
+    scene = _scene_for(f, level, scene)
     solids = f.solid_polygons(level)
     cover = interval_cover(line, f, level)
 
@@ -492,9 +504,9 @@ def detour_path(line: Line, f: FractalApproximation, epsilon: float,
     starts = np.cumsum([0] + [len(r) - 1 for r in routes]).tolist()
     edge_a = np.vstack([r[:-1] for r in routes] or [np.empty((0, 2))])
     edge_b = np.vstack([r[1:] for r in routes] or [np.empty((0, 2))])
-    gap_ks, owners = _locate_path_points(
+    gap_ks, owners = (ks.tolist() for ks in _locate_path_points(
         scene, line.point_at(np.array(gap_ts)).reshape(-1, 2), edge_a, edge_b,
-        VERTEX_TOL)
+        VERTEX_TOL))
 
     touched: set[int] = set()
     violations: list[str] = []
@@ -503,7 +515,7 @@ def detour_path(line: Line, f: FractalApproximation, epsilon: float,
             violations.append(ev[1])
         elif ev[0] == "gap":
             k = gap_ks[ev[1]]
-            if k is None:
+            if k < 0:
                 violations.append(
                     f"gap midpoint at t={gap_ts[ev[1]]:.6f} lies inside the "
                     "solid approximation")
@@ -512,7 +524,7 @@ def detour_path(line: Line, f: FractalApproximation, epsilon: float,
         else:
             _, solid, r = ev
             for owner in owners[starts[r]:starts[r + 1]]:
-                if owner is None:
+                if owner < 0:
                     violations.append(
                         f"arc edge of solid {solid} has no complementary owner")
                 else:
@@ -562,8 +574,7 @@ def verify_detour(p: DetourPath, f: FractalApproximation,
     of it must lie within tolerance of some touched closure, the touched
     family must be finite, and the line must meet each touched closure.
     """
-    if scene is None:
-        scene = FractalScene(f, p.level)
+    scene = _scene_for(f, p.level, scene)
     pts = [p.polyline]
     for t in np.linspace(0.0, 1.0, 6)[1:-1]:  # four samples inside each segment
         pts.append(p.polyline[:-1] * (1 - t) + p.polyline[1:] * t)
@@ -572,11 +583,7 @@ def verify_detour(p: DetourPath, f: FractalApproximation,
     haus = float(p.line.distance_to_points(samples).max())
     hausdorff_ok = haus <= p.epsilon + VERTEX_TOL
 
-    if p.touched:
-        coverage_margin = float(
-            scene.coverage_distance(samples, sorted(p.touched)).max())
-    else:
-        coverage_margin = math.inf
+    coverage_margin = float(scene.coverage_distance(samples, sorted(p.touched)).max())
     coverage_ok = coverage_margin <= 100 * VERTEX_TOL
 
     missed = _missed_holes(scene, p.line, p.touched)
@@ -614,9 +621,7 @@ def group_paths(paths: list[DetourPath], f: FractalApproximation,
     the rounding of the distance tests: a few ulps of the coordinates,
     which are O(1) in every scene.  The margin 2 ``tol`` covers both.
     """
-    if scene is None:
-        level = max((p.level for p in paths), default=0)
-        scene = FractalScene(f, level)
+    scene = _scene_for(f, max((p.level for p in paths), default=0), scene)
     contact: dict[tuple[int, int], bool] = {}
     margin = 2.0 * VERTEX_TOL
     held = sorted({k for p in paths for k in p.touched if k})

@@ -13,6 +13,7 @@ import operator
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -140,9 +141,18 @@ class FractalApproximation:
         return _AREA_PER_SQUARED_DIAMETER[self.kind] * d * d
 
     def max_solid_diameter(self, level: int) -> float:
+        return self.max_solid_diameters[level]
+
+    @cached_property
+    def max_solid_diameters(self) -> list[float]:
+        """Largest solid diameter of every level, computed once."""
+        return [self._max_solid_diameter(m) for m in range(self.max_level + 1)]
+
+    def _max_solid_diameter(self, level: int) -> float:
         if self.kind == "gasket":
-            tri = self.levels[level].solids
-            return float((tri[:, :, 0].max(axis=1) - tri[:, :, 0].min(axis=1)).max())
+            # corner-wise max/min: ~9x faster than reducing an axis of length 3
+            a, b, c = self.levels[level].solids[:, :, 0].T
+            return float((np.maximum(np.maximum(a, b), c) - np.minimum(np.minimum(a, b), c)).max())
         if self.kind == "carpet":
             return math.sqrt(2.0) * 3.0 ** (-level)
         tri = self.interstices[level]
@@ -622,7 +632,7 @@ def verify_nested_construction(f: FractalApproximation,
         raise ValueError("verification supports gasket and apollonian kinds")
     violations: list[str] = []
     counts = [f.n_solids(m) for m in range(f.max_level + 1)]
-    diams = [f.max_solid_diameter(m) for m in range(f.max_level + 1)]
+    diams = list(f.max_solid_diameters)
     if f.kind == "gasket":
         for m in range(1, f.max_level + 1):
             violations += _gasket_contact_violations(f, m, tol)

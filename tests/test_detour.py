@@ -322,8 +322,44 @@ class TestArrayQueriesMatchScans:
         want = reference_locate(scene, pts)
         assert [-1 if k is None else k for k in found] == want.tolist()
         assert {k for k in found if k} == set(range(1, len(scene.holes) + 1))
-        assert scene.locate_many(pts) == found
-        assert scene.locate_many(pts[:0]) == []
+        assert scene.locate_many(pts).tolist() == want.tolist()
+        assert scene.locate_many(pts[:0]).shape == (0,)
+
+    def test_locate_descent_batches(self):
+        # the gasket descends all points together and retires them level by
+        # level: a scene that stops at level 5 of the 8 generated, a batch
+        # that retires whole at level 1 and one with no point inside the
+        # outer triangle must agree with the scan too
+        f = gasket_levels(8)
+        rng = np.random.default_rng(16)
+
+        def inside(tris, n):
+            # points strictly inside each triangle, away from its edges
+            w = 0.05 + 0.85 * rng.dirichlet(np.ones(3), (n, len(tris)))
+            return np.einsum("nsk,skd->nsd", w, tris).reshape(-1, 2)
+
+        solids5 = f.solid_polygons(5)
+        pts = np.vstack([inside(solids5, 2), solids5.mean(axis=1)])
+        deep, truncated = dt.FractalScene(f), dt.FractalScene(f, 5)
+        assert truncated.locate_many(pts).tolist() == [-1] * len(pts)
+        assert reference_locate(truncated, pts).tolist() == [-1] * len(pts)
+        # the full scene finds them in the holes below level 5
+        found = deep.locate_many(pts)
+        assert found.tolist() == reference_locate(deep, pts).tolist()
+        assert (deep.hole_levels[found[found > 0] - 1] > 5).all()
+        assert (found > 0).sum() > len(pts) // 2
+        x0, y0, x1, y1 = truncated.outer.bbox()
+        box = rng.uniform((x0, y0), (x1, y1), (3000, 2))
+        assert truncated.locate_many(box).tolist() \
+            == reference_locate(truncated, box).tolist()
+
+        central = inside(f.levels[1].holes, 500)
+        for scene in (deep, truncated):
+            assert scene.locate_many(central).tolist() == [1] * len(central)
+        outside = np.vstack([rng.uniform((-1.0, -1.0), (2.0, -1e-9), (200, 2)),
+                             rng.uniform((-1.0, 1.0), (2.0, 2.0), (200, 2))])
+        assert deep.locate_many(outside).tolist() == [0] * len(outside)
+        assert reference_locate(deep, outside).tolist() == [0] * len(outside)
 
     @pytest.mark.parametrize("make", [
         lambda: gasket_levels(8), lambda: carpet_levels(4),
@@ -337,7 +373,7 @@ class TestArrayQueriesMatchScans:
         pts = probe_points(scene, rng)
         # holes that contain some of the points, whose vertices are among
         # the points too when they are polygons
-        held = sorted({k for k in scene.locate_many(pts) if k})
+        held = sorted({k for k in scene.locate_many(pts).tolist() if k > 0})
         ks = [0] + sorted(rng.choice(held, min(len(held), 40), replace=False).tolist())
         for family in (ks, ks[1:], [0], ks[:3]):
             assert scene.coverage_distance(pts, family).tobytes() \
@@ -363,10 +399,12 @@ class TestArrayQueriesMatchScans:
         b = np.vstack([b, a[-2], a[-1] + 1e-10])
         gaps = probe_points(scene, rng)[:500]
         gap_ks, owners = dt._locate_path_points(scene, gaps, a, b, dt.VERTEX_TOL)
-        assert gap_ks == [scene.locate(p) for p in gaps]
-        assert owners == [reference_edge_owner(scene, p, q) for p, q in zip(a, b)]
-        assert owners[-2:] == [None, None]
-        assert len(set(owners) - {None}) > 20
+        assert gap_ks.tolist() == [-1 if k is None else k
+                                   for k in (scene.locate(p) for p in gaps)]
+        want = [reference_edge_owner(scene, p, q) for p, q in zip(a, b)]
+        assert owners.tolist() == [-1 if k is None else k for k in want]
+        assert owners[-2:].tolist() == [-1, -1]
+        assert len(set(owners.tolist()) - {-1}) > 20
 
     @pytest.mark.parametrize("make", [lambda: gasket_levels(6),
                                       lambda: carpet_levels(3)],
@@ -384,6 +422,122 @@ class TestArrayQueriesMatchScans:
             hit = {k for k, comp in enumerate(scene.holes)
                    if line_component_hits(line, comp)}
             assert hit <= near
+
+
+def verify_samples(p):
+    """The polyline samples verify_detour measures: the vertices and four
+    points inside each segment."""
+    ts = np.linspace(0.0, 1.0, 6)[1:-1]
+    return np.vstack([p.polyline] + [p.polyline[:-1] * (1 - t) + p.polyline[1:] * t
+                                     for t in ts])
+
+
+@pytest.fixture(scope="module")
+def gasket10():
+    return gasket_levels(10)
+
+
+class TestCoveragePrune:
+    """coverage_distance measures a point exactly only against the holes
+    whose bounding boxes may hold its minimum; on the samples verify_detour
+    takes, and on the points where a box bound is weakest, it must equal the
+    all-pairs reference to the last bit."""
+
+    @staticmethod
+    def same(scene, pts, ks):
+        for family in (ks, [0] + ks):
+            assert scene.coverage_distance(pts, family).tobytes() \
+                == reference_region_distance(scene, pts, family).tobytes()
+
+    def test_gasket10_paths(self, gasket10):
+        scene = dt.FractalScene(gasket10)
+        rng = np.random.default_rng(17)
+        lines = [Line.horizontal(float(u) * SQRT3 / 2.0) for u in rng.uniform(0.05, 0.95, 3)]
+        lines += [Line.vertical(float(u)) for u in rng.uniform(0.05, 0.95, 3)]
+        sizes = []
+        for line in lines:
+            rep = dt.detour_path(line, gasket10, 0.01, scene=scene)
+            assert rep.ok and rep.level == 7
+            ks = sorted(k for k in rep.path.touched if k)
+            samples = verify_samples(rep.path)
+            box = scene.hole_boxes(ks)
+            in_boxes = ((box[:, 0] <= samples[:, :1]) & (samples[:, :1] <= box[:, 2])
+                        & (box[:, 1] <= samples[:, 1:]) & (samples[:, 1:] <= box[:, 3]))
+            sizes.append((len(samples), len(ks), int(in_boxes.sum(axis=1).max())))
+            # the samples themselves, and beside them, where distances are
+            # positive and the bound has to prune
+            jitter = samples + rng.normal(0.0, 1e-3, samples.shape)
+            self.same(scene, np.vstack([samples, jitter]), ks)
+        # hundreds of samples against dozens of holes with overlapping boxes
+        assert max(n for n, _, _ in sizes) > 400
+        assert max(k for _, k, _ in sizes) >= 30
+        assert min(b for _, _, b in sizes) >= 2
+
+    def test_shared_vertices_and_box_corners(self, gasket10):
+        scene = dt.FractalScene(gasket10, 7)
+        rep = dt.detour_path(Line.horizontal(0.2171), gasket10, 0.01, scene=scene)
+        ks = sorted(k for k in rep.path.touched if k)
+        verts = scene.holes.vertices[np.asarray(ks) - 1].reshape(-1, 2)
+        # vertices of touched holes that lie on the closure of another one
+        zero = np.stack([scene.component(k).region_distance(verts, dt.VERTEX_TOL) == 0.0
+                         for k in ks])
+        shared = verts[zero.sum(axis=0) >= 2]
+        assert len(shared) > 5
+        box = scene.hole_boxes(ks)
+        corners = np.vstack([box[:, [0, 1]], box[:, [2, 1]]])   # beside the apex
+        assert (reference_region_distance(scene, corners, ks[:1]) > 0).any()
+        self.same(scene, np.vstack([shared, corners]), ks)
+
+    def test_carpet_squares(self):
+        f = carpet_levels(4)
+        scene = dt.FractalScene(f)
+        rng = np.random.default_rng(18)
+        for line in (Line.horizontal(0.2), Line.vertical(0.71),
+                     Line((0.6, 0.8), 0.3)):
+            ks = (dt.near_line(line, scene.holes.vertices) + 1).tolist()
+            t = line.project(np.array([[0.0, 0.0], [1.0, 1.0]]))
+            samples = line.point_at(np.linspace(t.min() - 0.2, t.max() + 0.2, 400))
+            sq = scene.holes.vertices[np.asarray(ks) - 1]
+            pts = np.vstack([samples, sq.reshape(-1, 2), sq.mean(axis=1),
+                             samples + rng.normal(0.0, 1e-3, samples.shape)])
+            assert len(ks) >= 8
+            self.same(scene, pts, ks)
+
+
+class TestSceneMismatch:
+    """A scene built for another fractal, or for fewer levels than a path
+    needs, is refused: its holes would answer for the wrong geometry."""
+
+    line = Line.horizontal(0.2171)
+
+    @pytest.fixture(scope="class")
+    def scenes(self, gasket10):
+        return {"shallow": dt.FractalScene(gasket10, 3),
+                "carpet": dt.FractalScene(carpet_levels(3)),
+                "twin": dt.FractalScene(gasket_levels(10))}
+
+    @staticmethod
+    def refused(call, scenes):
+        for name, match in (("shallow", "stops at level 3, below 7"),
+                            ("carpet", "another fractal"),
+                            ("twin", "another fractal")):
+            with pytest.raises(ValueError, match=match):
+                call(scenes[name])
+
+    def test_detour_path(self, gasket10, scenes):
+        self.refused(lambda s: dt.detour_path(self.line, gasket10, 0.01, scene=s),
+                     scenes)
+        assert dt.detour_path(self.line, gasket10, 0.01,
+                              scene=dt.FractalScene(gasket10, 7)).ok
+
+    def test_verify_detour(self, gasket10, scenes):
+        path = dt.detour_path(self.line, gasket10, 0.01).path
+        self.refused(lambda s: dt.verify_detour(path, gasket10, scene=s), scenes)
+
+    def test_group_paths(self, gasket10, scenes):
+        paths = [dt.detour_path(line, gasket10, 0.01).path
+                 for line in (self.line, Line.horizontal(0.2233))]
+        self.refused(lambda s: dt.group_paths(paths, gasket10, scene=s), scenes)
 
 
 class TestIntervalCover:
