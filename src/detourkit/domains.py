@@ -8,20 +8,30 @@ The Whitney sweep needs three vectorized answers about a domain D:
 
 The third one is what makes the dyadic selection rule sharp: for circles it
 reduces to corner evaluations, for polygons to box-to-segment distances, both
-closed form.  The polygon point oracle uses geometry's point-segment kernel;
-only cubes use the box kernel, which projects the box corners through it.
+closed form.
+
+A polygon prunes both oracles to nearby edges and stays exact: no dropped
+(query, edge) pair can hold the minimum, and a kept pair gets the floats of
+the all-edges kernels.  Points use a grid of EDGE_GRID_CELLS² cells over the
+bounding box, built once per domain.  Distance to a segment is convex, so on
+a closed cell it peaks at a corner: the cell's ub, the least over edges of
+the largest corner distance, bounds the boundary distance of its points.  A
+cell keeps the edges whose box is within ub * (1 + 1e-9) + 1e-12 of it (the
+slack covers the rounding of both at O(1) coordinates); points outside the
+closed box, NaN included, meet every edge.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .geometry import (Polygon, _polygon_signed_area, points_in_polygon,
-                       polygon_boundary_distance, sample_circle,
-                       sample_polygon_boundary, segment_distance)
+from .geometry import (POINT_SEGMENT_CHUNK, Polygon, _polygon_signed_area,
+                       points_in_polygon, sample_circle, sample_polygon_boundary,
+                       segment_distance_xy)
 
 __all__ = ["Domain", "DiskDomain", "PolygonDomain", "equilateral_triangle_domain",
            "comb_domain"]
@@ -104,24 +114,16 @@ class DiskDomain(Domain):
         return sample_circle(*self.center, self.radius, n)
 
 
-def _box_segment_distance(cx, cy, half, ax, ay, bx, by):
-    """Exact distance between boxes (n,) and segments (m,), result (n, m).
+def _box_segment_pairs(cx, cy, half, ax, ay, bx, by):
+    """Exact distance between boxes [cx-half,cx+half]x[cy-half,cy+half] and
+    segments [(ax, ay), (bx, by)], elementwise over broadcasting arrays.
 
     Both sets are convex, so they either intersect (checked by clipping the
     segment to the box) or the closest pair is realised at a vertex of one of
     them: a box corner projected onto the segment, or a segment endpoint
     measured against the box.
     """
-    cx = np.asarray(cx, dtype=float)[:, None]
-    cy = np.asarray(cy, dtype=float)[:, None]
-    half = np.asarray(half, dtype=float)[:, None]
-    ax = np.asarray(ax, dtype=float)[None, :]
-    ay = np.asarray(ay, dtype=float)[None, :]
-    bx = np.asarray(bx, dtype=float)[None, :]
-    by = np.asarray(by, dtype=float)[None, :]
-
-    ex = bx - ax
-    ey = by - ay
+    ex, ey = bx - ax, by - ay
 
     def point_box(px, py):
         dx = np.maximum(np.abs(px - cx) - half, 0.0)
@@ -129,39 +131,43 @@ def _box_segment_distance(cx, cy, half, ax, ay, bx, by):
         return np.hypot(dx, dy)
 
     best = np.minimum(point_box(ax, ay), point_box(bx, by))
-    a, b = np.column_stack([ax[0], ay[0]]), np.column_stack([bx[0], by[0]])
-    corners = np.stack([np.column_stack([cx + sx * half, cy + sy * half])
-                        for sx in (-1.0, 1.0) for sy in (-1.0, 1.0)])
-    best = np.minimum(best, segment_distance(corners, a, b).min(axis=0))
+    x0, x1, y0, y1 = cx - half, cx + half, cy - half, cy + half
+    corners = segment_distance_xy(np.stack([x0, x0, x1, x1]), np.stack([y0, y1, y0, y1]),
+                                  ax, ay, bx, by)
+    best = np.minimum(best, corners.min(axis=0))
 
     # Liang-Barsky clip: zero out pairs whose segment crosses the box.
     with np.errstate(divide="ignore", invalid="ignore"):
-        t1x = (cx - half - ax) / ex
-        t2x = (cx + half - ax) / ex
-        t1y = (cy - half - ay) / ey
-        t2y = (cy + half - ay) / ey
-    lox = np.minimum(t1x, t2x)
-    hix = np.maximum(t1x, t2x)
-    loy = np.minimum(t1y, t2y)
-    hiy = np.maximum(t1y, t2y)
+        t1x, t2x = (x0 - ax) / ex, (x1 - ax) / ex
+        t1y, t2y = (y0 - ay) / ey, (y1 - ay) / ey
+    lox, hix = np.minimum(t1x, t2x), np.maximum(t1x, t2x)
+    loy, hiy = np.minimum(t1y, t2y), np.maximum(t1y, t2y)
     # degenerate axes: segment parallel to an axis, inside-slab test instead
-    para_x = np.abs(ex) < 1e-300
-    para_y = np.abs(ey) < 1e-300
-    in_x = np.abs(ax - cx) <= half
-    in_y = np.abs(ay - cy) <= half
+    para_x, para_y = np.abs(ex) < 1e-300, np.abs(ey) < 1e-300
+    in_x, in_y = np.abs(ax - cx) <= half, np.abs(ay - cy) <= half
     lox = np.where(para_x, np.where(in_x, -np.inf, np.inf), lox)
     hix = np.where(para_x, np.where(in_x, np.inf, -np.inf), hix)
     loy = np.where(para_y, np.where(in_y, -np.inf, np.inf), loy)
     hiy = np.where(para_y, np.where(in_y, np.inf, -np.inf), hiy)
     tmin = np.maximum(np.maximum(lox, loy), 0.0)
     tmax = np.minimum(np.minimum(hix, hiy), 1.0)
-    hit = tmin <= tmax
-    return np.where(hit, 0.0, best)
+    return np.where(tmin <= tmax, 0.0, best)
 
 
-@dataclass(frozen=True)
+def _box_segment_distance(cx, cy, half, ax, ay, bx, by):
+    """Exact distance between boxes (n,) and segments (m,), result (n, m)."""
+    col = [np.asarray(a, dtype=float)[:, None] for a in (cx, cy, half)]
+    return _box_segment_pairs(*col, *(np.asarray(a, dtype=float) for a in (ax, ay, bx, by)))
+
+
+#: cells per side of the grid that prunes PolygonDomain's point oracle
+EDGE_GRID_CELLS = 32
+
+
+@dataclass(frozen=True, eq=False)
 class PolygonDomain(Domain):
-    """Open simple polygon; boundary distance is exact to all edges."""
+    """Open simple polygon with exact boundary distances; equality is
+    identity, as each domain holds its own lazily built edge grid."""
 
     vertices: np.ndarray = field(repr=False)
     name: str = "polygon"
@@ -170,46 +176,80 @@ class PolygonDomain(Domain):
         poly = Polygon(np.asarray(self.vertices, dtype=float))
         object.__setattr__(self, "vertices", poly.vertices)
 
-    def _edges(self):
+    @cached_property
+    def _edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Edge k runs from vertex k, (ax, ay), to the next vertex, (bx, by)."""
         v = self.vertices
-        w = np.roll(v, -1, axis=0)
+        w = v.take(range(1 - len(v), 1), axis=0)
         return v[:, 0], v[:, 1], w[:, 0], w[:, 1]
+
+    @cached_property
+    def _edge_grid(self):
+        """The bounding box, its cell sizes and, as CSR (indptr, indices),
+        the kept edges of cell (i, j) at row i * EDGE_GRID_CELLS + j, then a
+        last row with every edge, for points outside the closed box."""
+        ax, ay, bx, by = self._edges
+        x0, y0, x1, y1 = self.bbox()
+        n = EDGE_GRID_CELLS
+        hx, hy = (x1 - x0) / n, (y1 - y0) / n
+        gx, gy = x0 + hx * np.arange(n + 1), y0 + hy * np.arange(n + 1)
+        d = segment_distance_xy(gx[:, None, None], gy[:, None], ax, ay, bx, by)
+        ub = np.max([d[:-1, :-1], d[1:, :-1], d[:-1, 1:], d[1:, 1:]], axis=0).min(axis=2)
+        # axis gaps (2, n, m) between the cell columns and rows and the edge boxes
+        lo, hi = np.minimum([ax, ay], [bx, by]), np.maximum([ax, ay], [bx, by])
+        g = np.stack([gx, gy])
+        gap = np.maximum(lo[:, None] - g[:, 1:, None], g[:, :-1, None] - hi[:, None]).clip(0.0)
+        keep = np.hypot(gap[0][:, None], gap[1]) <= ub[..., None] * (1 + 1e-9) + 1e-12
+        keep = np.vstack([keep.reshape(n * n, -1), np.ones((1, len(ax)), dtype=bool)])
+        indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+        return (x0, y0, x1, y1, hx, hy), indptr, np.nonzero(keep)[1]
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         return points_in_polygon(np.atleast_2d(pts), self.vertices)
 
     def boundary_distance(self, pts: np.ndarray) -> np.ndarray:
-        return polygon_boundary_distance(pts, self.vertices)
+        """:func:`polygon_boundary_distance` bit for bit, each point against
+        its grid cell's edges, in blocks of ~POINT_SEGMENT_CHUNK pairs."""
+        x, y = np.atleast_2d(np.asarray(pts, dtype=float)).T
+        (x0, y0, x1, y1, hx, hy), indptr, indices = self._edge_grid
+        n = EDGE_GRID_CELLS
+        cell = np.full(len(x), n * n)
+        box = (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)      # False for NaN
+        cell[box] = (np.minimum(((x[box] - x0) / hx).astype(np.intp), n - 1) * n
+                     + np.minimum(((y[box] - y0) / hy).astype(np.intp), n - 1))
+        first, count = indptr[cell], np.diff(indptr)[cell]
+        before = np.cumsum(count) - count
+        cuts = np.flatnonzero(np.diff(before // POINT_SEGMENT_CHUNK, prepend=-1))
+        out = np.empty(len(x))
+        for lo, hi in zip(cuts, [*cuts[1:], len(x)]):
+            c, off = count[lo:hi], before[lo:hi] - before[lo]
+            pi = np.repeat(np.arange(lo, hi), c)
+            ei = indices[np.arange(len(pi)) + np.repeat(first[lo:hi] - off, c)]
+            d = segment_distance_xy(x[pi], y[pi], *(a[ei] for a in self._edges))
+            out[lo:hi] = np.minimum.reduceat(d, off)
+        return out
 
     def cube_boundary_distance(self, cx, cy, half) -> np.ndarray:
-        return _box_segment_distance(cx, cy, half, *self._edges()).min(axis=1)
+        return _box_segment_distance(cx, cy, half, *self._edges).min(axis=1)
 
     def cube_boundary_distance_capped(self, cx, cy, half, cap) -> np.ndarray:
-        """Per-edge bounding-box prefilter; exact for distances up to ``cap``.
-
-        Each cube evaluates only the edges whose inflated bounding box it
-        meets, which cuts the work per cube from all edges to the one or two
-        nearby ones on boundary-hugging sweeps.
-        """
-        cx = np.asarray(cx, dtype=float)
-        cy = np.asarray(cy, dtype=float)
-        half = np.asarray(half, dtype=float)
-        cap = np.asarray(cap, dtype=float)
-        ax, ay, bx, by = self._edges()
-        out = np.full(len(cx), np.inf)
+        """Exact for distances up to ``cap``, clamped to it beyond: a cube
+        measures only the edges whose bounding box, grown by ``cap + half``,
+        holds its centre, as any other is farther than ``cap``.  The (cube,
+        edge) pairs go through the pair kernel in blocks of POINT_SEGMENT_CHUNK,
+        which gives each pair the floats of the all-edges kernel."""
+        cx, cy, half, cap = (np.asarray(a, dtype=float) for a in (cx, cy, half, cap))
         reach = cap + half
-        for k in range(len(ax)):
-            ex0, ex1 = min(ax[k], bx[k]), max(ax[k], bx[k])
-            ey0, ey1 = min(ay[k], by[k]), max(ay[k], by[k])
-            near = ((cx >= ex0 - reach) & (cx <= ex1 + reach)
-                    & (cy >= ey0 - reach) & (cy <= ey1 + reach))
-            idx = np.flatnonzero(near)
-            if len(idx) == 0:
-                continue
-            d = _box_segment_distance(cx[idx], cy[idx], half[idx],
-                                      ax[k:k + 1], ay[k:k + 1],
-                                      bx[k:k + 1], by[k:k + 1])[:, 0]
-            np.minimum.at(out, idx, d)
+        near = [np.flatnonzero((cx >= min(x0, x1) - reach) & (cx <= max(x0, x1) + reach)
+                               & (cy >= min(y0, y1) - reach) & (cy <= max(y0, y1) + reach))
+                for x0, y0, x1, y1 in zip(*self._edges)]
+        ci = np.concatenate(near)
+        ei = np.repeat(np.arange(len(near)), [len(idx) for idx in near])
+        out = np.full(len(cx), np.inf)
+        for lo in range(0, len(ci), POINT_SEGMENT_CHUNK):
+            c, e = ci[lo:lo + POINT_SEGMENT_CHUNK], ei[lo:lo + POINT_SEGMENT_CHUNK]
+            d = _box_segment_pairs(cx[c], cy[c], half[c], *(a[e] for a in self._edges))
+            np.minimum.at(out, c, d)
         return np.minimum(out, np.broadcast_to(cap, out.shape))
 
     def bbox(self):

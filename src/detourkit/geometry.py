@@ -281,9 +281,13 @@ def segment_distance(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarra
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    px, py = pts[..., None, 0], pts[..., None, 1]
-    ax, ay = a[..., 0], a[..., 1]
-    ex, ey = b[..., 0] - ax, b[..., 1] - ay
+    return segment_distance_xy(pts[..., None, 0], pts[..., None, 1],
+                               a[..., 0], a[..., 1], b[..., 0], b[..., 1])
+
+
+def segment_distance_xy(px, py, ax, ay, bx, by) -> np.ndarray:
+    """Point-segment distances, elementwise over broadcasting coordinates."""
+    ex, ey = bx - ax, by - ay
     denom = ex * ex + ey * ey
     denom = np.where(denom < 1e-300, 1.0, denom)
     t = np.clip(((px - ax) * ex + (py - ay) * ey) / denom, 0.0, 1.0)

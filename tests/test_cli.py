@@ -131,6 +131,36 @@ class TestGoldenArtifacts:
                 == digest, name
 
 
+class TestGoldenDomainArtifacts:
+    # SHA-256 of the artifacts of fixed domain-side runs; a change to the
+    # polygon oracles, the Whitney sweep or the qh refinement must leave
+    # these bytes as they are
+    DIGESTS = {
+        ("whitney", "--scene", "comb", "--cutoff", "9"): {
+            "cubes.csv":
+                "06499cc0f6d36de7d323f0ceb044819c7505cdcc5b43a7a77439ae8bc5c57d26",
+            "edges.csv":
+                "9e33bf3c23d14d3fdf434ca06439845bad552243b40a383acb021288d4bcd845",
+        },
+        ("qhyp", "--scene", "triangle", "--cutoff", "9", "--samples", "64"): {
+            "qhyp.json":
+                "b047f86cb49b9e8a533b0f832d47fb922833e9319c1be456be14abe9c980254c",
+            "shadows.json":
+                "abf38bbeaea12ed8e7ff465a3149425be6c56a317559dfbdb404c5578b061a41",
+            "geodesic.csv":
+                "8834a6d72778519801257263ec375c3f9889a9c8a3e70b29fa1fbd7654f021fb",
+        },
+    }
+
+    def test_domain_digests(self, tmp_path):
+        for args, digests in self.DIGESTS.items():
+            out = tmp_path / args[0]
+            assert run(out, *args) == 0
+            for name, digest in digests.items():
+                assert hashlib.sha256((out / name).read_bytes()).hexdigest() \
+                    == digest, (args[0], name)
+
+
 class TestCertifyAndCarpet:
     def test_integrated_measure_value(self, tmp_path):
         assert run(tmp_path, "certify", "--scene", "gasket", "--levels", "10",

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from detourkit import geometry
-from detourkit.domains import (PolygonDomain, _box_segment_distance, comb_domain,
-                               equilateral_triangle_domain)
+from detourkit import domains, geometry
+from detourkit.domains import (EDGE_GRID_CELLS, PolygonDomain, _box_segment_distance,
+                               comb_domain, equilateral_triangle_domain)
 from detourkit.errors import OracleError
 from detourkit.geometry import polygon_boundary_distance, segment_distance
 from detourkit.whitney import WhitneyDecomposition, refine_for_qh, whitney_decompose
@@ -16,7 +16,7 @@ def bits(x):
 def box_reference(domain, pts, block=4096):
     """Boundary distance through the box kernel at half = 0."""
     pts = np.atleast_2d(pts)
-    edges = domain._edges()
+    edges = domain._edges
     return np.concatenate([
         _box_segment_distance(pts[lo:lo + block, 0], pts[lo:lo + block, 1],
                               np.zeros(len(pts[lo:lo + block])), *edges).min(axis=1)
@@ -146,3 +146,173 @@ class TestCubeOracle:
         assert np.all(domain.cube_boundary_distance(b[:, 0], b[:, 1], half) == 0.0)
         assert np.all(domain.cube_boundary_distance_capped(
             b[:, 0], b[:, 1], half, 8.0 * half) == 0.0)
+
+
+def unit_square():
+    return PolygonDomain(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+                         name="square")
+
+
+DOMAINS = {"comb": comb_domain, "triangle": equilateral_triangle_domain,
+           "square": unit_square}
+
+
+@pytest.fixture(params=list(DOMAINS))
+def domain(request):
+    return DOMAINS[request.param]()
+
+
+def assert_matches_all_edges(domain, pts):
+    pts = np.atleast_2d(pts)
+    got = domain.boundary_distance(pts)
+    assert got.shape == (len(pts),)
+    assert bits(got) == bits(polygon_boundary_distance(pts, domain.vertices))
+
+
+class TestIdentity:
+    def test_equality_is_identity_and_hashable(self):
+        a, b = comb_domain(), comb_domain()
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+        assert hash(a) == hash(a)
+
+
+class TestPointPrune:
+    """The edge-grid point oracle against the all-edges owner, bit for bit."""
+
+    def test_refined_centres_and_corners(self, refined9):
+        assert_matches_all_edges(refined9.domain, centres_and_corners(refined9))
+
+    def test_vertices_and_axis_midpoints(self, domain):
+        v = domain.vertices
+        w = np.roll(v, -1, axis=0)
+        axis = (v[:, 0] == w[:, 0]) | (v[:, 1] == w[:, 1])
+        pts = np.concatenate([v, (v[axis] + w[axis]) / 2.0])
+        assert np.all(domain.boundary_distance(pts) == 0.0)
+        assert_matches_all_edges(domain, pts)
+
+    def test_grid_lines_and_box_border(self, domain):
+        (x0, y0, x1, y1, hx, hy), _, _ = domain._edge_grid
+        k = np.arange(EDGE_GRID_CELLS + 1)
+        gx, gy = x0 + k * hx, y0 + k * hy
+        t = np.linspace(0.0, 1.0, 129)
+        xs, ys = x0 + t * (x1 - x0), y0 + t * (y1 - y0)
+        lines = [np.column_stack([np.repeat(gx, len(ys)), np.tile(ys, len(gx))]),
+                 np.column_stack([np.tile(xs, len(gy)), np.repeat(gy, len(xs))])]
+        border = [np.column_stack([np.full_like(ys, x), ys]) for x in (x0, x1)] \
+            + [np.column_stack([xs, np.full_like(xs, y)]) for y in (y0, y1)]
+        assert_matches_all_edges(domain, np.concatenate(lines + border))
+
+    def test_inside_last_neck(self):
+        # the last corridor of the default comb: centre 0.9, width 6.5e-4,
+        # 1/48 of a grid cell, from the slab top 0.12 to the rooms at 0.62
+        domain = comb_domain()
+        hw = 6.5e-4 / 2.0
+        x = np.linspace(0.9 - hw, 0.9 + hw, 41)
+        y = np.linspace(0.11, 0.63, 257)
+        pts = np.column_stack([np.repeat(x, len(y)), np.tile(y, len(x))])
+        assert_matches_all_edges(domain, pts)
+        corridor = domain.contains(pts) & (pts[:, 1] >= 0.12) & (pts[:, 1] <= 0.62)
+        assert corridor.any()
+        assert np.all(domain.boundary_distance(pts[corridor]) <= hw * (1 + 1e-9))
+
+    def test_outside_box_and_non_finite(self, domain):
+        x0, y0, x1, y1 = domain.bbox()
+        xm, ym = (x0 + x1) / 2.0, (y0 + y1) / 2.0
+        out = np.array([[np.nextafter(x0, -np.inf), ym], [np.nextafter(x1, np.inf), ym],
+                        [xm, np.nextafter(y0, -np.inf)], [xm, y1 + 1e-9],
+                        [x0 - 0.25, y1 + 0.25], [-3.0, 7.0], [1e300, 0.5]])
+        assert_matches_all_edges(domain, out)
+        nan = np.array([[np.nan, ym], [xm, np.nan], [np.nan, np.nan]])
+        assert np.all(np.isnan(domain.boundary_distance(nan)))
+        assert_matches_all_edges(domain, nan)
+        assert_matches_all_edges(domain, np.concatenate([out, nan, [[xm, ym]]]))
+
+    def test_seeded_points_and_small_blocks(self, domain, monkeypatch):
+        pts = np.random.default_rng(13).uniform(-0.5, 1.5, (5000, 2))
+        assert_matches_all_edges(domain, pts)
+        monkeypatch.setattr(domains, "POINT_SEGMENT_CHUNK", 7)
+        assert_matches_all_edges(domain, pts[:500])
+        assert domain.boundary_distance(np.zeros((0, 2))).shape == (0,)
+
+    def test_grid_prunes(self, domain):
+        _, indptr, indices = domain._edge_grid
+        count = np.diff(indptr)
+        m = len(domain.vertices)
+        assert len(count) == EDGE_GRID_CELLS ** 2 + 1
+        assert count.min() >= 1 and count[-1] == m
+        assert np.array_equal(indices[indptr[-2]:], np.arange(m))
+        if m > 4:
+            assert count[:-1].mean() < m / 4
+
+
+def reference_capped(domain, cx, cy, half, cap):
+    """The per-edge loop that measured each edge's nearby cubes on its own."""
+    cx, cy, half, cap = (np.asarray(a, dtype=float) for a in (cx, cy, half, cap))
+    ax, ay, bx, by = domain._edges
+    out = np.full(len(cx), np.inf)
+    reach = cap + half
+    for k in range(len(ax)):
+        ex0, ex1 = min(ax[k], bx[k]), max(ax[k], bx[k])
+        ey0, ey1 = min(ay[k], by[k]), max(ay[k], by[k])
+        near = ((cx >= ex0 - reach) & (cx <= ex1 + reach)
+                & (cy >= ey0 - reach) & (cy <= ey1 + reach))
+        idx = np.flatnonzero(near)
+        if len(idx) == 0:
+            continue
+        d = _box_segment_distance(cx[idx], cy[idx], half[idx], ax[k:k + 1], ay[k:k + 1],
+                                  bx[k:k + 1], by[k:k + 1])[:, 0]
+        np.minimum.at(out, idx, d)
+    return np.minimum(out, np.broadcast_to(cap, out.shape))
+
+
+class TestCappedPrune:
+    @pytest.fixture(scope="class")
+    def sweep_calls(self):
+        """Every capped call that the comb-9 sweep and refinement make."""
+        calls = []
+        original = PolygonDomain.cube_boundary_distance_capped
+
+        def record(self, cx, cy, half, cap):
+            got = original(self, cx, cy, half, cap)
+            calls.append((self, *(np.array(a, dtype=float) for a in (cx, cy, half, cap)), got))
+            return got
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(PolygonDomain, "cube_boundary_distance_capped", record)
+            refine_for_qh(whitney_decompose(comb_domain(), 9))
+        return calls
+
+    def test_sweep_calls_match_reference(self, sweep_calls):
+        assert len(sweep_calls) > 9
+        assert any(np.ndim(c[4]) == 0 for c in sweep_calls)
+        assert any(np.ndim(c[4]) == 1 for c in sweep_calls)
+        for domain, cx, cy, half, cap, got in sweep_calls:
+            assert bits(got) == bits(reference_capped(domain, cx, cy, half, cap))
+
+    @pytest.mark.parametrize("chunk", [7, domains.POINT_SEGMENT_CHUNK])
+    def test_scalar_and_array_cap(self, monkeypatch, chunk):
+        monkeypatch.setattr(domains, "POINT_SEGMENT_CHUNK", chunk)
+        domain = comb_domain()
+        rng = np.random.default_rng(17)
+        cx, cy = rng.uniform(-0.2, 1.2, (2, 4000))
+        half = 2.0 ** -rng.integers(4, 12, 4000).astype(float)
+        for cap in (0.05, 8.0 * half, rng.uniform(0.0, 0.1, 4000)):
+            got = domain.cube_boundary_distance_capped(cx, cy, half, cap)
+            assert bits(got) == bits(reference_capped(domain, cx, cy, half, cap))
+
+    def test_far_cubes_give_cap_and_crossed_give_zero(self):
+        domain = comb_domain()
+        # no edge within reach: far outside, and the centre of the first room
+        fx, fy = np.array([-5.0, 3.0, 0.1]), np.array([-5.0, 3.0, 0.7])
+        half = np.full(3, 0.01)
+        assert np.all(domain.cube_boundary_distance_capped(fx, fy, half, 0.05) == 0.05)
+        cap = np.array([0.01, 0.02, 0.03])
+        assert bits(domain.cube_boundary_distance_capped(fx, fy, half, cap)) == bits(cap)
+        b = domain.boundary_points(300)
+        half = np.full(len(b), 2.0 ** -12)
+        got = domain.cube_boundary_distance_capped(b[:, 0], b[:, 1], half, 8.0 * half)
+        assert np.all(got == 0.0)
+        assert bits(got) == bits(reference_capped(domain, b[:, 0], b[:, 1], half, 8.0 * half))
+        assert domain.cube_boundary_distance_capped(np.zeros(0), np.zeros(0), np.zeros(0),
+                                                    0.1).shape == (0,)
