@@ -17,7 +17,9 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
+from typing import Callable, TextIO
 
 import numpy as np
 
@@ -54,13 +56,17 @@ class RunConfig:
         os.environ.get("DETOURKIT_OUT", "detourkit-out")))
 
 
-def _write(cfg: RunConfig, name: str, data: str | bytes) -> Path:
+def _write(cfg: RunConfig, name: str,
+           data: str | bytes | Callable[[TextIO], None]) -> Path:
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.output_dir / name
     if isinstance(data, bytes):
         path.write_bytes(data)
-    else:
+    elif isinstance(data, str):
         path.write_text(data)
+    else:
+        with path.open("w") as fh:
+            data(fh)
     return path
 
 
@@ -109,17 +115,16 @@ def _cmd_generate(cfg: RunConfig) -> int:
         _write(cfg, "julia_histogram.csv", "\n".join(rows) + "\n")
         return 0
     f = _fractal_for(cfg)
-    comps = [f.outer_component()] + f.hole_components()
-    levels = [0] + f.hole_levels().tolist()
-    _write(cfg, "scene.json", scene_to_json(comps, levels))
+    _write(cfg, "scene.json",
+           scene_to_json(f.outer_component().shape, fractals.HoleComponents(f)))
     return 0
 
 
 def _cmd_whitney(cfg: RunConfig) -> int:
     domain = _domain_for(cfg.scene)
     w = whitney_decompose(domain, cfg.cutoff)
-    _write(cfg, "cubes.csv", w.cubes_csv())
-    _write(cfg, "edges.csv", w.edges_csv())
+    _write(cfg, "cubes.csv", w.cubes_csv)
+    _write(cfg, "edges.csv", w.edges_csv)
     summary = {
         "scene": cfg.scene, "cutoff": cfg.cutoff, "cubes": len(w),
         "uncovered_area": w.uncovered_area, "area": domain.area(),
@@ -151,7 +156,7 @@ def _cmd_qhyp(cfg: RunConfig) -> int:
         lhs, rhs, ratio = solver.shadow_sum_check(table)
         out["shadow_sum"] = {"lhs": lhs, "rhs": rhs, "ratio": ratio,
                              "samples": cfg.samples}
-        entries = {str(cid): {"samples": [int(i) for i in idx],
+        entries = {str(cid): {"samples": idx.tolist(),
                               "s": table.s(cid)}
                    for cid, idx in sorted(table.entries.items())}
         shadows = {"basepoint": list(table.basepoint),
@@ -161,7 +166,7 @@ def _cmd_qhyp(cfg: RunConfig) -> int:
     g = solver.to_boundary(x0, domain.boundary_points(max(cfg.samples, 16))[0])
     if shadows is not None:
         _write(cfg, "shadows.json", _json_dump(shadows))
-    _write(cfg, "geodesic.csv", qhyp.polyline_csv(g.polyline))
+    _write(cfg, "geodesic.csv", partial(qhyp.polyline_csv, g.polyline))
     _write(cfg, "qhyp.json", _json_dump(out))
     return 0
 
@@ -224,8 +229,9 @@ def _cmd_detour(cfg: RunConfig) -> int:
         "lines": entries}))
     rows = ["id,status,offset,touched,hausdorff_margin"]
     for e in entries:
+        margin = repr(e["hausdorff_margin"]) if "hausdorff_margin" in e else ""
         rows.append(f"{e['id']},{e['status']},{e['offset']!r},"
-                    f"{e.get('touched', '')},{e.get('hausdorff_margin', '')!r}")
+                    f"{e.get('touched', '')},{margin}")
     _write(cfg, "detour.csv", "\n".join(rows) + "\n")
     if first_path is not None:
         _write(cfg, "detour.svg", _detour_svg(first_path, scene))

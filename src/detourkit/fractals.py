@@ -18,8 +18,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import IllConditionedError, InvalidShapeError, ResourceLimitError
-from .geometry import (Circle, Point, Polygon, SceneComponent,
-                       sample_circle, sample_polygon_boundary, segment_distance)
+from .geometry import (Circle, Point, Polygon, SceneComponent, _next_vertices,
+                       sample_circle, sample_polygons_boundary, segment_distance)
 
 SQRT3 = math.sqrt(3.0)
 _AREA_PER_SQUARED_DIAMETER = {"gasket": SQRT3 / 4.0, "carpet": 0.5,
@@ -210,12 +210,15 @@ class HoleComponents(Sequence):
             comp = self._built[pos] = SceneComponent(pos + 1, shape)
         return comp
 
-    def boundary_points(self, pos: int, n: int) -> np.ndarray:
-        """Boundary sample of the hole at ``pos``, read from the flat arrays
-        (the same points as its component's ``boundary_points(n)``)."""
+    def boundary_points(self, n: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Boundary samples of the holes at positions below ``stop``, each
+        its component's ``boundary_points(n)``, from the flat arrays: the
+        points (N, 2) stacked in hole order and each hole's point count."""
         if self.vertices is None:
-            return sample_circle(*self.centers[pos], self.radii[pos], n)
-        return sample_polygon_boundary(self.vertices[pos], n)
+            c, r = self.centers[:stop], self.radii[:stop]
+            return (sample_circle(c[:, 0], c[:, 1], r, n).reshape(-1, 2),
+                    np.full(len(r), n))
+        return sample_polygons_boundary(self.vertices[:stop], n)
 
 
 # ---------------------------------------------------------------------------
@@ -247,23 +250,39 @@ def gasket_levels(m: int) -> FractalApproximation:
     solids = base
     for _ in range(m):
         a, b, c = solids[:, 0], solids[:, 1], solids[:, 2]
-        ab = (a + b) / 2.0
-        bc = (b + c) / 2.0
-        ca = (c + a) / 2.0
-        children = np.concatenate([
-            np.stack([a, ab, ca], axis=1),
-            np.stack([ab, b, bc], axis=1),
-            np.stack([ca, bc, c], axis=1),
-        ])
-        holes = np.stack([ab, bc, ca], axis=1)
-        levels.append(FractalLevel(children, holes))
-        solids = children
+        holes = np.stack([(a + b) / 2.0, (b + c) / 2.0, (c + a) / 2.0], axis=1)
+        ab, bc, ca = holes[:, 0], holes[:, 1], holes[:, 2]
+        # block k of the children holds corner k's triangle of every solid
+        children = np.empty((3, len(solids), 3, 2))
+        for k, corners in enumerate(((a, ab, ca), (ab, b, bc), (ca, bc, c))):
+            np.stack(corners, axis=1, out=children[k])
+        solids = children.reshape(-1, 3, 2)
+        levels.append(FractalLevel(solids, holes))
     return FractalApproximation("gasket", levels)
 
 
 _CARPET_KEEP = np.array(
     [(i, j) for j in range(3) for i in range(3) if not (i == 1 and j == 1)],
     dtype=np.int64)
+_CARPET_MIDDLE = np.ones((1, 2), dtype=np.int64)
+
+
+def _carpet_subcells(cells: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The cells 3c + o one level down, cell by cell: the solid children of
+    cells c (n, 2) for offsets ``_CARPET_KEEP``, holes for ``_CARPET_MIDDLE``."""
+    return (cells[:, None, :] * 3 + offsets[None, :, :]).reshape(-1, 2)
+
+
+def carpet_hole_cells(m: int):
+    """Yield the hole cells of carpet levels 1..m, level by level, the same
+    as :func:`carpet_levels` holds; level m's solids are never built."""
+    if m > CARPET_MAX_LEVEL:
+        raise ResourceLimitError(f"carpet level {m} exceeds guard {CARPET_MAX_LEVEL}")
+    cells = np.zeros((1, 2), dtype=np.int64)
+    for j in range(1, m + 1):
+        yield _carpet_subcells(cells, _CARPET_MIDDLE)
+        if j < m:
+            cells = _carpet_subcells(cells, _CARPET_KEEP)
 
 
 def carpet_levels(m: int) -> FractalApproximation:
@@ -275,11 +294,9 @@ def carpet_levels(m: int) -> FractalApproximation:
     cells = np.zeros((1, 2), dtype=np.int64)
     levels = [FractalLevel(cells, np.zeros((0, 2), dtype=np.int64))]
     for _ in range(m):
-        base = cells * 3
-        children = (base[:, None, :] + _CARPET_KEEP[None, :, :]).reshape(-1, 2)
-        holes = base + 1
-        levels.append(FractalLevel(children, holes))
-        cells = children
+        holes = _carpet_subcells(cells, _CARPET_MIDDLE)
+        cells = _carpet_subcells(cells, _CARPET_KEEP)
+        levels.append(FractalLevel(cells, holes))
     return FractalApproximation("carpet", levels)
 
 
@@ -574,21 +591,19 @@ def julia_raster(map_id: str, lam: complex = 0.0, grid: int = 256,
         raise ResourceLimitError("raster resolution exceeds 4096^2")
     xs = np.linspace(-window, window, grid)
     ys = np.linspace(-window, window, grid)
-    z = (xs[None, :] + 1j * ys[:, None]).astype(np.complex128)
+    z = (xs[None, :] + 1j * ys[:, None]).astype(np.complex128).ravel()
     counts = np.full(z.shape, max_iter, dtype=np.int32)
-    alive = np.ones(z.shape, dtype=bool)
+    live = np.arange(z.size)     # flat pixel index of every entry of z
     for it in range(max_iter):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if map_id == "z2+lambda/z2":
-                znew = z * z if lam == 0 else z * z + lam / (z * z)
+                z = z * z if lam == 0 else z * z + lam / (z * z)
             else:
-                znew = z * z - 16.0 / (27.0 * z)
-        z = np.where(alive, znew, z)
-        escaped = alive & (~np.isfinite(z.real) | ~np.isfinite(z.imag)
-                           | (np.abs(z) > 4.0))
-        counts[escaped] = it + 1
-        alive &= ~escaped
-    return counts
+                z = z * z - 16.0 / (27.0 * z)
+        escaped = ~np.isfinite(z.real) | ~np.isfinite(z.imag) | (np.abs(z) > 4.0)
+        counts[live[escaped]] = it + 1
+        z, live = z[~escaped], live[~escaped]
+    return counts.reshape(grid, grid)
 
 
 def raster_to_pgm(counts: np.ndarray, max_iter: int) -> bytes:
@@ -654,7 +669,7 @@ def _gasket_contact_violations(f: FractalApproximation, m: int,
         hole = holes[hi]
         parent = parents[hi]  # holes are generated in parent order
         edge_a = parent
-        edge_b = np.roll(parent, -1, axis=0)
+        edge_b = _next_vertices(parent)
         mids = (edge_a + edge_b) / 2.0
         probes = np.vstack([edge_a, mids, edge_b])
         for comp in earlier:

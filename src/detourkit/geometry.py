@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -137,50 +137,63 @@ class Circle:
             raise InvalidShapeError(f"circle radius must be positive, got {self.radius}")
 
 
-def _polygon_signed_area(v: np.ndarray) -> float:
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+def _next_vertices(v: np.ndarray) -> np.ndarray:
+    """np.roll(v, -1, -2) for polygons (..., k, 2), bit for bit, 5x cheaper."""
+    return v.take(range(1 - v.shape[-2], 1), axis=-2)
 
 
-def _segments_properly_intersect(p1, p2, q1, q2) -> bool:
+def _polygon_signed_area(v: np.ndarray) -> np.ndarray:
+    """Shoelace areas of polygons (..., k, 2), positive counter-clockwise."""
+    w = _next_vertices(v)
+    return 0.5 * np.sum(v[..., 0] * w[..., 1] - w[..., 0] * v[..., 1], axis=-1)
+
+
+def _segments_properly_intersect(p1, p2, q1, q2) -> np.ndarray:
+    """Proper crossings of [p1, p2] and [q1, q2], over broadcasting (..., 2)."""
     def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+        return ((b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1])
+                - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0]))
 
     d1 = orient(q1, q2, p1)
     d2 = orient(q1, q2, p2)
     d3 = orient(p1, p2, q1)
     d4 = orient(p1, p2, q2)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
+    return ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
+
+
+def check_polygons(polys: np.ndarray) -> np.ndarray:
+    """Counter-clockwise copies of the polygons (n, k, 2), clockwise rows
+    reversed.  Raises :class:`InvalidShapeError` unless all vertices are
+    finite, every |signed area| is at least 1e-18 and (for k <= 64) no two
+    non-adjacent edges of a polygon cross properly."""
+    v = np.asarray(polys, dtype=float)
+    if v.ndim != 3 or v.shape[2] != 2 or v.shape[1] < 3:
+        raise InvalidShapeError("polygon needs at least 3 planar vertices")
+    if not np.all(np.isfinite(v)):
+        raise InvalidShapeError("polygon has non-finite vertices")
+    area = _polygon_signed_area(v)
+    if np.any(np.abs(area) < 1e-18):
+        raise InvalidShapeError("polygon is degenerate (zero area)")
+    v = np.where(area[:, None, None] < 0, v[:, ::-1], v)
+    k = v.shape[1]
+    if 3 < k <= 64:   # a triangle has no two non-adjacent edges
+        i, j = np.array([(a, b) for a in range(k) for b in range(a + 2, k)
+                         if (b + 1) % k != a]).T
+        w = _next_vertices(v)
+        if np.any(_segments_properly_intersect(v[:, i], w[:, i], v[:, j], w[:, j])):
+            raise InvalidShapeError("polygon is self-intersecting")
+    return v
 
 
 @dataclass(frozen=True)
 class Polygon:
-    """Simple closed polygon, stored counter-clockwise."""
+    """Simple closed polygon, stored counter-clockwise (:func:`check_polygons`)."""
 
     vertices: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.vertices, dtype=float)
-        if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
-            raise InvalidShapeError("polygon needs at least 3 planar vertices")
-        if not np.all(np.isfinite(v)):
-            raise InvalidShapeError("polygon has non-finite vertices")
-        area = _polygon_signed_area(v)
-        if abs(area) < 1e-18:
-            raise InvalidShapeError("polygon is degenerate (zero area)")
-        if area < 0:
-            v = v[::-1].copy()
-        n = len(v)
-        # simplicity: no proper crossing between non-adjacent edges
-        if n <= 64:
-            for i in range(n):
-                a1, a2 = v[i], v[(i + 1) % n]
-                for j in range(i + 1, n):
-                    if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                        continue
-                    if _segments_properly_intersect(a1, a2, v[j], v[(j + 1) % n]):
-                        raise InvalidShapeError("polygon is self-intersecting")
-        object.__setattr__(self, "vertices", v)
+        v = np.asarray(self.vertices, dtype=float)[None]
+        object.__setattr__(self, "vertices", check_polygons(v)[0])
 
 
 Shape = Circle | Polygon
@@ -265,7 +278,7 @@ def points_in_polygon(pts: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     v = np.asarray(vertices, dtype=float)
     x, y = pts[..., None, 0], pts[..., None, 1]
-    w = v.take(range(1 - v.shape[-2], 1), axis=-2)   # np.roll(v, -1, -2), 5x cheaper
+    w = _next_vertices(v)
     x1, y1, x2, y2 = v[..., 0], v[..., 1], w[..., 0], w[..., 1]
     cond = (y1 > y) != (y2 > y)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -302,7 +315,7 @@ def polygon_boundary_distance(pts: np.ndarray, vertices: np.ndarray) -> np.ndarr
     """Distance from every point (n, 2) to the polygon boundary, shape (n,)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     v = np.asarray(vertices, dtype=float)
-    w = v.take(range(1 - len(v), 1), axis=0)
+    w = _next_vertices(v)
     step = max(POINT_SEGMENT_CHUNK // len(v), 1)
     out = np.empty(len(pts))
     for lo in range(0, len(pts), step):
@@ -310,26 +323,36 @@ def polygon_boundary_distance(pts: np.ndarray, vertices: np.ndarray) -> np.ndarr
     return out
 
 
-def sample_circle(cx: float, cy: float, r: float, n: int) -> np.ndarray:
-    """n equally spaced points of the circle, the first at angle 0."""
+def sample_circle(cx, cy, r, n: int) -> np.ndarray:
+    """n equally spaced points of a circle, the first at angle 0: (n, 2) for
+    one circle, (h, n, 2) for arrays (h,) of centre coordinates and radii."""
     th = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    return np.column_stack([cx + r * np.cos(th), cy + r * np.sin(th)])
+    cx, cy, r = (np.asarray(a, dtype=float)[..., None] for a in (cx, cy, r))
+    return np.stack([cx + r * np.cos(th), cy + r * np.sin(th)], axis=-1)
+
+
+def sample_polygons_boundary(polys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """About n boundary points of each polygon (h, k, 2) by arc length: edge
+    i of length l_i of perimeter L gets its start vertex and floor((n - k)
+    l_i / L) more equally spaced points.  Returns the points (N, 2),
+    stacked in polygon order, and each polygon's point count (h,)."""
+    v = np.asarray(polys, dtype=float)
+    k = v.shape[1]
+    seg = _next_vertices(v) - v
+    lengths = np.hypot(seg[..., 0], seg[..., 1])
+    per = max(n - k, 0)
+    quota = np.floor(per * lengths / lengths.sum(axis=1, keepdims=True))
+    per_edge = quota.astype(int).ravel() + 1
+    edge = np.repeat(np.arange(len(per_edge)), per_edge)
+    first = np.cumsum(per_edge) - per_edge
+    t = (np.arange(len(edge)) - first[edge]) / per_edge[edge]
+    pts = v.reshape(-1, 2)[edge] + t[:, None] * seg.reshape(-1, 2)[edge]
+    return pts, per_edge.reshape(-1, k).sum(axis=1)
 
 
 def sample_polygon_boundary(vertices: np.ndarray, n: int) -> np.ndarray:
-    """n boundary points spread by arc length; all vertices are included."""
-    v = np.asarray(vertices, dtype=float)
-    nv = len(v)
-    seg = np.roll(v, -1, axis=0) - v
-    lengths = np.hypot(seg[:, 0], seg[:, 1])
-    per = max(n - nv, 0)
-    quota = np.floor(per * lengths / lengths.sum()).astype(int)
-    pts = []
-    for i in range(nv):
-        k = quota[i] + 1
-        t = np.arange(k) / k
-        pts.append(v[i] + t[:, None] * seg[i])
-    return np.vstack(pts)
+    """The one-polygon case of :func:`sample_polygons_boundary`."""
+    return sample_polygons_boundary(np.asarray(vertices, dtype=float)[None], n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +410,7 @@ def polygons_line_hits(line: Line, polys: np.ndarray,
         raise InvalidShapeError("degenerate polygon")
     out: list[list[Interval1D]] = [[] for _ in range(n)]
     dx, dy = line.direction
-    nxt = polys[:, (np.arange(k) + 1) % k]
+    nxt = _next_vertices(polys)
     e = nxt - polys
     w = polys - line.base
     denom = dx * e[..., 1] - dy * e[..., 0]
@@ -471,13 +494,11 @@ def _boundary_min_distance(a: SceneComponent, b: SceneComponent) -> float:
     if isinstance(sa, Circle) or isinstance(sb, Circle):
         raise InvalidShapeError("no boundary distance between a circle and a polygon")
     va, vb = sa.vertices, sb.vertices
-    for i in range(len(va)):
-        for j in range(len(vb)):
-            if _segments_properly_intersect(va[i], va[(i + 1) % len(va)],
-                                            vb[j], vb[(j + 1) % len(vb)]):
-                return 0.0
-    return min(float(segment_distance(vb, va, np.roll(va, -1, axis=0)).min()),
-               float(segment_distance(va, vb, np.roll(vb, -1, axis=0)).min()))
+    wa, wb = _next_vertices(va), _next_vertices(vb)
+    if np.any(_segments_properly_intersect(va[:, None], wa[:, None], vb, wb)):
+        return 0.0
+    return min(float(segment_distance(vb, va, wa).min()),
+               float(segment_distance(va, vb, wb).min()))
 
 
 def component_closures_intersect(a: SceneComponent, b: SceneComponent, tol: float = TOL) -> bool:
@@ -513,42 +534,22 @@ def _region_probe_points(c: SceneComponent) -> np.ndarray:
 # scene JSON
 # ---------------------------------------------------------------------------
 
-def component_to_json(c: SceneComponent, level: int | None = None) -> dict:
-    if isinstance(c.shape, Circle):
-        shape = {"circle": {"cx": c.shape.center.x, "cy": c.shape.center.y, "r": c.shape.radius}}
+def scene_to_json(outer: Shape, holes) -> str:
+    """The scene as JSON: component 0, unbounded with boundary ``outer``,
+    then hole k from position k - 1 of the flat arrays of ``holes`` (a
+    :class:`~detourkit.fractals.HoleComponents`), polygons checked by
+    :func:`check_polygons`."""
+    def circle(cx, cy, r):
+        return {"circle": {"cx": cx, "cy": cy, "r": r}}
+
+    if holes.vertices is None:
+        first = circle(outer.center.x, outer.center.y, outer.radius)
+        shapes = [circle(cx, cy, r) for (cx, cy), r
+                  in zip(holes.centers.tolist(), holes.radii.tolist())]
     else:
-        shape = {"polygon": [[float(x), float(y)] for x, y in c.shape.vertices]}
-    entry: dict = {"index": c.index, "bounded": c.bounded, "shape": shape}
-    if level is not None:
-        entry["level"] = level
-    return entry
-
-
-def component_from_json(entry: dict) -> SceneComponent:
-    shape = entry["shape"]
-    if "circle" in shape:
-        sc = shape["circle"]
-        shp: Shape = Circle(Point(sc["cx"], sc["cy"]), sc["r"])
-    elif "polygon" in shape:
-        shp = Polygon(np.asarray(shape["polygon"], dtype=float))
-    else:
-        raise InvalidShapeError(f"unknown shape keys {sorted(shape)}")
-    return SceneComponent(entry["index"], shp, entry["bounded"])
-
-
-def scene_to_json(components: Iterable[SceneComponent],
-                  levels: Sequence[int] | None = None) -> str:
-    comps = list(components)
-    idx = [c.index for c in comps]
-    if len(set(idx)) != len(idx):
-        raise InvalidShapeError("component indices must be unique")
-    entries = [
-        component_to_json(c, None if levels is None else levels[i])
-        for i, c in enumerate(comps)
-    ]
+        first = {"polygon": outer.vertices.tolist()}
+        shapes = [{"polygon": v} for v in check_polygons(holes.vertices).tolist()]
+    levels = [0] + holes.levels.tolist()
+    entries = [{"index": i, "bounded": i > 0, "level": lv, "shape": shape}
+               for i, (lv, shape) in enumerate(zip(levels, [first] + shapes))]
     return json.dumps({"components": entries}, sort_keys=True)
-
-
-def scene_from_json(text: str) -> list[SceneComponent]:
-    data = json.loads(text)
-    return [component_from_json(e) for e in data["components"]]

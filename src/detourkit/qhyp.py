@@ -28,9 +28,9 @@ fit samples, what shadows record and what cube sums add up.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -471,9 +471,7 @@ def geodesic_cube_sum(w: WhitneyDecomposition, chain: np.ndarray, beta: float,
             "cubes": int(len(sides))}
 
 
-def polyline_csv(poly: np.ndarray) -> str:
-    buf = io.StringIO()
-    buf.write("x,y\n")
-    for x, y in np.atleast_2d(poly):
-        buf.write(f"{float(x)!r},{float(y)!r}\n")
-    return buf.getvalue()
+def polyline_csv(poly: np.ndarray, out: TextIO) -> None:
+    """Stream the polyline's vertices to the text file ``out``."""
+    out.write("x,y\n")
+    out.writelines(f"{x!r},{y!r}\n" for x, y in np.atleast_2d(poly).tolist())

@@ -10,10 +10,10 @@ keeps the selection sharp.
 
 from __future__ import annotations
 
-import io
 import math
 import warnings
 from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 
@@ -428,24 +428,20 @@ class WhitneyDecomposition:
 
     # --- serialization -------------------------------------------------------
 
-    def cubes_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("level,ix,iy,side,dist_lo,dist_hi\n")
-        hi = self.corner_deltas().min(axis=1)
-        hi = np.minimum(hi, self.delta_center)
-        for i in range(len(self)):
-            buf.write(f"{self.levels[i]},{self.ix[i]},{self.iy[i]},"
-                      f"{float(self.side[i])!r},{float(self.dist[i])!r},"
-                      f"{float(hi[i])!r}\n")
-        return buf.getvalue()
+    def cubes_csv(self, out: TextIO) -> None:
+        """Stream the cube table to the text file ``out``, one row a cube."""
+        hi = np.minimum(self.corner_deltas().min(axis=1), self.delta_center)
+        cols = (self.levels, self.ix, self.iy, self.side, self.dist, hi)
+        out.write("level,ix,iy,side,dist_lo,dist_hi\n")
+        out.writelines(f"{j},{x},{y},{s!r},{lo!r},{h!r}\n"
+                       for j, x, y, s, lo, h in zip(*(c.tolist() for c in cols)))
 
-    def edges_csv(self) -> str:
+    def edges_csv(self, out: TextIO) -> None:
+        """Stream the edges and their weights to the text file ``out``."""
         edges, w = self.adjacency_edges()
-        buf = io.StringIO()
-        buf.write("id1,id2,weight\n")
-        for (a, b), wt in zip(edges, w):
-            buf.write(f"{a},{b},{float(wt)!r}\n")
-        return buf.getvalue()
+        out.write("id1,id2,weight\n")
+        out.writelines(f"{a},{b},{wt!r}\n"
+                       for (a, b), wt in zip(edges.tolist(), w.tolist()))
 
 
 def whitney_decompose(domain: Domain, min_level_cutoff: int) -> WhitneyDecomposition:

@@ -16,7 +16,7 @@ import detourkit
 from detourkit.errors import InvalidShapeError, MissingFitError
 from detourkit.fractals import (FractalApproximation, FractalLevel,
                                 TangentCircleTriple, apollonian,
-                                carpet_levels, gasket_levels)
+                                carpet_levels, gasket_levels, staircase_array)
 from detourkit.geometry import Line
 from detourkit.whitney import refine_for_qh, whitney_decompose
 
@@ -421,6 +421,19 @@ class TestCarpetCounterexample:
     def test_energy_m8_close_to_m6(self):
         r8 = ct.carpet_counterexample(4.0, 8, 0.5, quad_nodes=8)
         assert abs(r8.energies[7] - r8.energies[5]) <= 0.05 * r8.energies[7]
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.5])
+    def test_energy_deltas_match_per_hole_reference(self, p):
+        # reference: evaluate h and psi' at every hole of every level
+        nodes = (np.arange(16) + 0.5) / 16
+        rep = ct.carpet_counterexample(p, 4, 0.5)
+        for j, lv in enumerate(carpet_levels(4).levels[1:], start=1):
+            side = 3.0 ** (-j)
+            c = staircase_array((lv.holes[:, 0] + 0.5) * side)
+            y = lv.holes[:, 1][:, None] * side + side * nodes[None, :]
+            f = (1.0 + (c[:, None] * ct.psi_prime(y)) ** 2) ** (p / 2.0)
+            assert rep.energy_deltas[j - 1] \
+                == float(np.sum(np.mean(f, axis=1))) * side * side
 
     def test_plateau_requirement(self):
         with pytest.raises(ValueError):

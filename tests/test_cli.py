@@ -161,6 +161,74 @@ class TestGoldenDomainArtifacts:
                     == digest, (args[0], name)
 
 
+class TestGoldenCommandArtifacts:
+    # SHA-256 of the artifacts of fixed generate, whitney, qhyp, carpet and
+    # removability runs; the array passes behind these commands must leave
+    # these bytes as they are
+    DIGESTS = {
+        ("generate", "--scene", "gasket", "--levels", "8"): {
+            "scene.json":
+                "09b5d0b1d542e95a0080b024946498de728c8d24b9df3481157f712371d00b1c",
+        },
+        ("generate", "--scene", "apollonian", "--min-radius", "0.02"): {
+            "scene.json":
+                "98117f72534f87d1de9e51c4aaddb1979cf7ec812248e6ea25164fa179ab8a76",
+        },
+        ("generate", "--scene", "carpet", "--levels", "4"): {
+            "scene.json":
+                "b75cabb2bf965530f9b893f1752a1511e72a597bbbcf8c1994ce5daa6d3dbeea",
+        },
+        ("generate", "--scene", "julia", "--grid", "256"): {
+            "julia.pgm":
+                "7f7af5297fbd763ccd9300dd31c2e4944fc8e96cb007769ffe13c8b88dc34dfe",
+            "julia_histogram.csv":
+                "93c65e37c016f61f379b48232d5ee43e0ff121e5346ae625a894557b76385511",
+        },
+        ("generate", "--scene", "julia", "--map", "z2-16/27z", "--grid", "64"): {
+            "julia.pgm":
+                "aa88b310f4bd15a24f5187e82c12bbeb0b61f81357f247d51fad6101b1f7d980",
+            "julia_histogram.csv":
+                "153b40d06f988d9ea351d295afccaaec42cdd97fdd7f31c3661bcfe5dd41b46b",
+        },
+        ("whitney", "--scene", "disk", "--cutoff", "9"): {
+            "cubes.csv":
+                "a7f9dcb19b0957c1dd5f20dacdf91d7595aeb4f40ff967447768614e201199d5",
+            "edges.csv":
+                "4c8aeac09e4dcd7ee007aae9d8663f586debbd737bce70e724025008a7d85e61",
+        },
+        ("qhyp", "--scene", "disk", "--cutoff", "9", "--samples", "128"): {
+            "shadows.json":
+                "a8cef1217e8c5efd772adf43e2f77ecc4e23c6a3c8a1ca1c512c35a38a0fa5fd",
+            "geodesic.csv":
+                "4e5d8018c8fc528c39a14023804085ff6ca4ba012b8343d889cbe6604bf85c15",
+        },
+        ("carpet", "--p", "2", "--m", "7"): {
+            "carpet.json":
+                "3857d71d851f0613e55bebdbc4c2b23373dbcc792e469acbcb68b106f4d51e06",
+            "carpet.csv":
+                "5e54ab2e3d76d42c3681bc7a5a05768d811efeefe920db052992300fe84c3baa",
+        },
+        ("certify", "--what", "removability", "--scene", "apollonian",
+         "--min-radius", "0.05", "--m", "3"): {
+            "certificate_removability.json":
+                "6fef9806d50de225f500ac86451322f1e4b2db6800b9105f85d0db9e7a03e431",
+        },
+        ("certify", "--what", "removability", "--scene", "carpet",
+         "--levels", "4", "--m", "3"): {
+            "certificate_removability.json":
+                "a713ce25c04c51aa75e0f09bdcbeda0bdfa6400c301b82c3cbc389968c67d4b6",
+        },
+    }
+
+    def test_command_digests(self, tmp_path):
+        for i, (args, digests) in enumerate(self.DIGESTS.items()):
+            out = tmp_path / str(i)
+            assert run(out, *args) == 0, args
+            for name, digest in digests.items():
+                assert hashlib.sha256((out / name).read_bytes()).hexdigest() \
+                    == digest, (args, name)
+
+
 class TestCertifyAndCarpet:
     def test_integrated_measure_value(self, tmp_path):
         assert run(tmp_path, "certify", "--scene", "gasket", "--levels", "10",
@@ -208,6 +276,15 @@ class TestCertifyAndCarpet:
         lines = json.loads((tmp_path / "detour.json").read_text())["lines"]
         assert [e["status"] for e in lines] == ["exceptional"] * 4
         assert all("no polygonal solids" in e["reason"] for e in lines)
+
+    def test_exceptional_detour_csv_cells_empty(self, tmp_path):
+        # an exceptional line has no touched count and no margin: both
+        # cells stay empty
+        assert run(tmp_path, "detour", "--scene", "apollonian", "--min-radius",
+                   "0.05", "--epsilon", "0.9", "--lines", "2", "--seed", "1") == 2
+        rows = (tmp_path / "detour.csv").read_text().splitlines()
+        assert rows[1] == "0,exceptional,0.6282943914019472,,"
+        assert all(r.endswith(",,") and "'" not in r for r in rows[1:])
 
     def test_certificate_failure_exit_two(self, tmp_path):
         # carpet detour paths cannot satisfy the conditions, so the command

@@ -9,7 +9,8 @@ from detourkit.fractals import (CARPET_MAX_LEVEL, GASKET_MAX_LEVEL,
                                 HoleComponents, TangentCircleTriple,
                                 _interstice_corners,
                                 apollonian,
-                                cantor_staircase, carpet_levels,
+                                cantor_staircase, carpet_hole_cells,
+                                carpet_levels,
                                 gasket_levels, julia_raster, raster_to_pgm,
                                 soddy_circles, staircase_array,
                                 verify_nested_construction)
@@ -114,6 +115,14 @@ class TestCarpet:
     def test_resource_guard(self):
         with pytest.raises(ResourceLimitError):
             carpet_levels(CARPET_MAX_LEVEL + 1)
+        with pytest.raises(ResourceLimitError):
+            next(carpet_hole_cells(CARPET_MAX_LEVEL + 1))
+
+    def test_hole_cells_match_levels(self):
+        walk = list(carpet_hole_cells(4))
+        levels = carpet_levels(4).levels[1:]
+        assert len(walk) == len(levels) == 4
+        assert all(np.array_equal(a, lv.holes) for a, lv in zip(walk, levels))
 
 
 class TestHoleLevels:
@@ -143,10 +152,14 @@ class TestHoleArrays:
     @pytest.mark.parametrize("f", KINDS, ids=IDS)
     def test_boundary_points_match_components(self, f):
         holes = HoleComponents(f)
-        for pos in range(len(holes)):
-            for n in (7, 64):
-                assert np.array_equal(holes.boundary_points(pos, n),
-                                      holes[pos].boundary_points(n))
+        for n in (7, 64):
+            for stop in (0, 1, len(holes)):
+                pts, sizes = holes.boundary_points(n, stop)
+                assert len(sizes) == stop and len(pts) == sizes.sum()
+                ends = np.cumsum(sizes)
+                for pos in range(stop):
+                    assert np.array_equal(pts[ends[pos] - sizes[pos]:ends[pos]],
+                                          holes[pos].boundary_points(n))
 
     @pytest.mark.parametrize("f", KINDS, ids=IDS)
     def test_areas_follow_diameters(self, f):
@@ -346,6 +359,24 @@ class TestJuliaRaster:
         counts = julia_raster("z2-16/27z", grid=5, max_iter=16, window=10.0)
         # corner pixel sits at z = 10 + 10j, farther than 10; escapes early
         assert counts[-1, -1] <= 5
+
+    @pytest.mark.parametrize("map_id,lam", [("z2+lambda/z2", 0.3 + 0.1j),
+                                            ("z2-16/27z", 0.0)])
+    def test_live_pixels_match_full_grid(self, map_id, lam):
+        # reference: step every pixel each iteration, freezing escaped ones
+        xs = np.linspace(-2.0, 2.0, 64)
+        z = xs[None, :] + 1j * xs[:, None]
+        expect = np.full(z.shape, 64, dtype=np.int32)
+        alive = np.ones(z.shape, dtype=bool)
+        for it in range(64):
+            with np.errstate(all="ignore"):
+                znew = (z * z + lam / (z * z) if map_id == "z2+lambda/z2"
+                        else z * z - 16.0 / (27.0 * z))
+            z = np.where(alive, znew, z)
+            escaped = alive & (~np.isfinite(z) | (np.abs(z) > 4.0))
+            expect[escaped] = it + 1
+            alive &= ~escaped
+        assert np.array_equal(julia_raster(map_id, lam, grid=64), expect)
 
     def test_zero_iterations(self):
         counts = julia_raster("z2-16/27z", grid=8, max_iter=0)

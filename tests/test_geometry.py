@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,13 +9,15 @@ from hypothesis import strategies as st
 from detourkit import detour as dt
 from detourkit.detour import VERTEX_TOL
 from detourkit.errors import EmptySetError, InvalidShapeError
-from detourkit.fractals import carpet_levels, gasket_levels
+from detourkit.fractals import (HoleComponents, TangentCircleTriple,
+                                apollonian, carpet_levels, gasket_levels)
 from detourkit.geometry import (TOL, Circle, Interval1D, Line, Point, Polygon,
-                                SceneComponent, component_closures_intersect,
+                                SceneComponent, check_polygons,
+                                component_closures_intersect,
                                 hausdorff_distance, line_component_hits,
                                 points_in_polygon, polygon_boundary_distance,
-                                polygons_line_hits, scene_from_json,
-                                scene_to_json, segment_distance)
+                                polygons_line_hits, scene_to_json,
+                                segment_distance)
 
 
 def unit_circle(index=1):
@@ -361,18 +364,38 @@ class TestTypesAndScene:
             Interval1D(1.0, 0.0)
 
     def test_scene_json_round_trip(self):
-        comps = [SceneComponent(0, Circle(Point(0, 0), 2.0), bounded=False),
-                 unit_square(1)]
-        text = scene_to_json(comps, levels=[0, 1])
-        back = scene_from_json(text)
-        assert len(back) == 2
-        assert back[0].index == 0 and not back[0].bounded
-        assert isinstance(back[1].shape, Polygon)
-        assert scene_to_json(back, levels=[0, 1]) == text
+        # the written entries read back as the hole arrays they came from
+        for f in (gasket_levels(3), carpet_levels(2),
+                  apollonian(TangentCircleTriple.three_unit(), 0.1)):
+            holes = HoleComponents(f)
+            outer = f.outer_component().shape
+            comps = json.loads(scene_to_json(outer, holes))["components"]
+            assert [c["index"] for c in comps] == list(range(len(holes) + 1))
+            assert [c["bounded"] for c in comps] == [False] + [True] * len(holes)
+            assert [c["level"] for c in comps] == [0] + holes.levels.tolist()
+            shapes = [c["shape"] for c in comps]
+            if holes.vertices is None:
+                circles = [(s["circle"]["cx"], s["circle"]["cy"], s["circle"]["r"])
+                           for s in shapes]
+                assert circles[0] == (outer.center.x, outer.center.y, outer.radius)
+                assert np.array_equal(circles[1:], np.column_stack(
+                    [holes.centers, holes.radii]))
+            else:
+                assert np.array_equal(shapes[0]["polygon"], outer.vertices)
+                assert np.array_equal([s["polygon"] for s in shapes[1:]],
+                                      holes.vertices)
 
-    def test_scene_duplicate_indices_rejected(self):
-        with pytest.raises(InvalidShapeError):
-            scene_to_json([unit_square(1), unit_circle(1)])
+    def test_polygon_stack_check(self):
+        tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        for bad in (np.where([[True], [False], [False]], np.nan, tri),
+                    np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])):
+            with pytest.raises(InvalidShapeError):
+                check_polygons(np.stack([tri, bad]))
+        out = check_polygons(np.stack([tri, tri[::-1]]))
+        assert np.array_equal(out, np.stack([tri, tri]))
+        bowtie = np.array([[[0.0, 0.0], [2.0, 2.0], [2.0, 0.0], [0.0, 1.0]]])
+        with pytest.raises(InvalidShapeError, match="self-intersecting"):
+            check_polygons(bowtie)
 
     def test_index_zero_must_be_unbounded(self):
         with pytest.raises(InvalidShapeError):

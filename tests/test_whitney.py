@@ -1,3 +1,4 @@
+import io
 import math
 from fractions import Fraction
 
@@ -365,7 +366,9 @@ class TestPointLocation:
 class TestSerialization:
     def test_cubes_csv_columns(self):
         w = whitney_decompose(unit_square_domain(), 5)
-        header, first = w.cubes_csv().splitlines()[:2]
+        buf = io.StringIO()
+        w.cubes_csv(buf)
+        header, first = buf.getvalue().splitlines()[:2]
         assert header == "level,ix,iy,side,dist_lo,dist_hi"
         parts = first.split(",")
         assert len(parts) == 6
@@ -374,7 +377,9 @@ class TestSerialization:
 
     def test_edges_csv_columns(self):
         w = whitney_decompose(unit_square_domain(), 5)
-        lines = w.edges_csv().splitlines()
+        buf = io.StringIO()
+        w.edges_csv(buf)
+        lines = buf.getvalue().splitlines()
         assert lines[0] == "id1,id2,weight"
         a, b, wt = lines[1].split(",")
         assert int(a) != int(b)
