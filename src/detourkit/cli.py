@@ -6,7 +6,8 @@ reproducible runs: fixed seed means byte-identical JSON/CSV artifacts
 requested certificate passes, 2 on a certificate failure (or a detour run in
 which every line is exceptional, so that no line was checked), and 1 on usage
 or resource errors.  Every field of :class:`RunConfig` after ``command`` is a
-flag of every subcommand, with the field's type and default.
+flag of every command, with the field's type and default; flags may come
+before or after the command.
 """
 
 from __future__ import annotations
@@ -359,17 +360,16 @@ def run(cfg: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """One ``--field-name`` flag per :class:`RunConfig` field after
-    ``command``, typed and defaulted by the field's default value."""
+    """The ``command`` positional and one ``--field-name`` flag per
+    :class:`RunConfig` field after it, typed and defaulted by the field's
+    default value."""
     ap = argparse.ArgumentParser(prog="detourkit")
-    sub = ap.add_subparsers(dest="command", required=True)
+    ap.add_argument("command", choices=list(_COMMANDS))
     defaults = RunConfig(command="")
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        for f in fields(RunConfig)[1:]:
-            default = getattr(defaults, f.name)
-            p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
-                           type=type(default), default=default)
+    for f in fields(RunConfig)[1:]:
+        default = getattr(defaults, f.name)
+        ap.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                        type=type(default), default=default)
     return ap
 
 

@@ -22,9 +22,9 @@ from .fractals import FractalApproximation, HoleComponents
 # line_component_hits has no caller here, but perfbench's tracer wraps the
 # name in this module as well as in geometry and certify
 from .geometry import (POINT_SEGMENT_CHUNK, Interval1D, Line, Polygon,  # noqa: F401
-                       SceneComponent, component_closures_intersect,
-                       line_component_hits, points_in_polygon,
-                       polygons_line_hits, segment_distance)
+                       SceneComponent, _next_vertices,
+                       component_closures_intersect, line_component_hits,
+                       points_in_polygon, polygons_line_hits, segment_distance)
 
 # the one incidence tolerance of the detour layer; the margins of near_line
 # and group_paths are derived from it
@@ -139,7 +139,7 @@ class FractalScene:
             d = np.hypot(pts[..., 0] - ctr[..., 0], pts[..., 1] - ctr[..., 1])
             return np.where(d <= r + VERTEX_TOL, 0.0, np.abs(d - r)) if closed else np.abs(d - r)
         v = h.vertices[pos]
-        d = segment_distance(pts, v, v.take(range(1 - v.shape[-2], 1), axis=-2)).min(axis=-1)
+        d = segment_distance(pts, v, _next_vertices(v)).min(axis=-1)
         return np.where(points_in_polygon(pts, v) | (d <= VERTEX_TOL), 0.0, d) if closed else d
 
     def pair_boundary_distance(self, pts, ks) -> np.ndarray:
@@ -303,16 +303,6 @@ class DetourReport:
         return self.status == "ok"
 
 
-def _fractal_vertices(f: FractalApproximation, level: int) -> np.ndarray:
-    """Solid and hole vertices of all levels up to ``level``."""
-    parts = [f.solid_polygons(level).reshape(-1, 2)]
-    if f.kind == "gasket":
-        for j in range(level + 1):
-            if len(f.levels[j].holes):
-                parts.append(f.levels[j].holes.reshape(-1, 2))
-    return np.vstack(parts)
-
-
 def required_level(f: FractalApproximation, epsilon: float) -> int:
     """Smallest level whose solids are all smaller than ``epsilon``."""
     for m, d in enumerate(f.max_solid_diameters):
@@ -336,8 +326,9 @@ def _scene_for(f: FractalApproximation, level: int,
 
 def check_exceptional(line: Line, f: FractalApproximation, level: int) -> None:
     """Reject lines passing within ``VERTEX_TOL`` of any vertex up to
-    ``level``."""
-    verts = _fractal_vertices(f, level)
+    ``level``.  The level-``level`` solids hold them all: every vertex of a
+    solid or a gasket hole stays a vertex of a solid at every deeper level."""
+    verts = f.solid_polygons(level).reshape(-1, 2)
     d = line.distance_to_points(verts)
     j = int(np.argmin(d))
     if d[j] <= VERTEX_TOL:
@@ -360,7 +351,7 @@ def _arc_routes(polys: np.ndarray, entry: np.ndarray,
     """
     c, k = polys.shape[:2]
     d = segment_distance(np.stack([entry, exit_], axis=1), polys[:, None],
-                         polys.take(range(1 - k, 1), axis=1)[:, None])   # (c, 2, k)
+                         _next_vertices(polys)[:, None])   # (c, 2, k)
     gap = d.min(axis=2).ravel()
     off = np.flatnonzero(gap > 100 * VERTEX_TOL)
     if len(off):

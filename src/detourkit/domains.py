@@ -29,9 +29,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import (POINT_SEGMENT_CHUNK, Polygon, _polygon_signed_area,
-                       points_in_polygon, sample_circle, sample_polygon_boundary,
-                       segment_distance_xy)
+from .geometry import (POINT_SEGMENT_CHUNK, Polygon, _next_vertices,
+                       _polygon_signed_area, points_in_polygon, sample_circle,
+                       sample_polygon_boundary, segment_distance_xy)
 
 __all__ = ["Domain", "DiskDomain", "PolygonDomain", "equilateral_triangle_domain",
            "comb_domain"]
@@ -179,8 +179,7 @@ class PolygonDomain(Domain):
     @cached_property
     def _edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Edge k runs from vertex k, (ax, ay), to the next vertex, (bx, by)."""
-        v = self.vertices
-        w = v.take(range(1 - len(v), 1), axis=0)
+        v, w = self.vertices, _next_vertices(self.vertices)
         return v[:, 0], v[:, 1], w[:, 0], w[:, 1]
 
     @cached_property

@@ -127,6 +127,9 @@ class GeodesicSolver:
     """Shortest-path engine over one refined Whitney decomposition."""
 
     def __init__(self, w: WhitneyDecomposition):
+        if not len(w):
+            raise ResolutionError(f"no accepted cube at cutoff {w.min_level_cutoff}; "
+                                  "increase the cutoff")
         self.w = w
         n = len(w)
         indptr, indices, weights = w.stencil_graph()

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TextIO
 
 import numpy as np
@@ -54,10 +55,6 @@ class DyadicCube:
         s = self.side
         return (self.ix * s, self.iy * s, (self.ix + 1) * s, (self.iy + 1) * s)
 
-    def corners(self) -> np.ndarray:
-        x0, y0, x1, y1 = self.bounds
-        return np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
-
 
 class WhitneyDecomposition:
     """Accepted dyadic cubes of a domain with their adjacency graphs.
@@ -68,8 +65,9 @@ class WhitneyDecomposition:
     cube to the boundary) and ``keys`` (packed, sorted).  Two graphs live on
     the cubes: face adjacency (:meth:`adjacency_edges`, built from the
     face-neighbour table) and the 16-direction quasihyperbolic stencil
-    (:meth:`stencil_graph`).  Instances are immutable apart from lazily
-    built caches; refinement returns a new object.
+    (:meth:`stencil_graph`).  Instances are immutable apart from the
+    cached properties that derive their tables; refinement returns a new
+    object.
     """
 
     def __init__(self, domain: Domain, min_level_cutoff: int,
@@ -92,18 +90,10 @@ class WhitneyDecomposition:
             raise OracleError("inside cube center with zero boundary distance")
         self.keys = _pack(self.levels, self.ix, self.iy)
         self.uncovered_area = max(domain.area() - float(np.sum(self.side ** 2)), 0.0)
-        self._faces: np.ndarray | None = None
-        self._edges: tuple[np.ndarray, np.ndarray] | None = None
-        self._kdtree = None
-        self._level_list: tuple[np.ndarray, np.ndarray] | None = None
 
     # --- basic accessors ---------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.levels)
-
-    @property
-    def n_cubes(self) -> int:
         return len(self.levels)
 
     def cube(self, i: int) -> DyadicCube:
@@ -121,6 +111,21 @@ class WhitneyDecomposition:
 
     # --- point location ----------------------------------------------------
 
+    @cached_property
+    def _level_list(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct levels and their sides."""
+        # levels lead the canonical order: the distinct levels are the
+        # values where a run starts
+        lv = self.levels[np.flatnonzero(
+            np.diff(self.levels, prepend=self.levels[0] - 1))]
+        return lv, 2.0 ** (-lv.astype(float))
+
+    @cached_property
+    def _kdtree(self):
+        from scipy.spatial import cKDTree
+
+        return cKDTree(self.centers)
+
     def find_cubes(self, point) -> list[int]:
         """Indices of every accepted closed cube containing ``point``.
 
@@ -129,12 +134,6 @@ class WhitneyDecomposition:
         """
         if not len(self):
             return []
-        if self._level_list is None:
-            # levels lead the canonical order: the distinct levels are the
-            # values where a run starts
-            lv = self.levels[np.flatnonzero(
-                np.diff(self.levels, prepend=self.levels[0] - 1))]
-            self._level_list = (lv, 2.0 ** (-lv.astype(float)))
         lv, s = self._level_list
         x, y = float(point[0]), float(point[1])
         # the cell of the point nudged by -eps and by +eps along each axis,
@@ -177,10 +176,6 @@ class WhitneyDecomposition:
         each other the smaller cube, scanning the candidates by center
         distance.
         """
-        from scipy.spatial import cKDTree
-
-        if self._kdtree is None:
-            self._kdtree = cKDTree(self.centers)
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
         _, idx = self._kdtree.query(pts, k=min(32, len(self)))
         idx = idx.reshape(len(pts), -1)
@@ -202,15 +197,21 @@ class WhitneyDecomposition:
 
     # --- adjacency ----------------------------------------------------------
 
+    @cached_property
     def _face_table(self) -> np.ndarray:
         """(4, n) same-or-coarser face neighbours; see :func:`_face_neighbours`."""
-        if self._faces is None:
-            # touching cubes differ by at most 2 levels (side ratio 4); 4 is
-            # slack for decompositions assembled by hand
-            spread = int(self.levels.max() - self.levels.min()) if len(self) else 0
-            self._faces = _face_neighbours(self.keys, self.levels, self.ix,
-                                           self.iy, min(spread, 4))
-        return self._faces
+        # touching cubes are at most 2 levels apart after the sweep (the
+        # Whitney lemma) and at most 1 after refine_for_qh; 4 is slack for
+        # decompositions assembled by hand
+        spread = int(self.levels.max() - self.levels.min()) if len(self) else 0
+        return _face_neighbours(self.keys, self.levels, self.ix, self.iy,
+                                min(spread, 4))
+
+    @cached_property
+    def _edges(self) -> tuple[np.ndarray, np.ndarray]:
+        edges = _face_pairs(self._face_table, self.levels)
+        a, b = edges[:, 0], edges[:, 1]
+        return edges, self._weights(a, b, self._lengths(a, b))
 
     def adjacency_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Edges (m, 2) over cube ids and their quasihyperbolic weights.
@@ -222,10 +223,6 @@ class WhitneyDecomposition:
         over the harmonic mean boundary distance:
         ``|x1 - x2| * 2 / (delta1 + delta2)``.
         """
-        if self._edges is None:
-            edges = _face_pairs(self._face_table(), self.levels)
-            a, b = edges[:, 0], edges[:, 1]
-            self._edges = (edges, self._weights(a, b, self._lengths(a, b)))
         return self._edges
 
     def _lengths(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -260,7 +257,7 @@ class WhitneyDecomposition:
         lv = levels.astype(np.int16)
         # tgt[c][i]: the target of cube i at offset STENCIL[c], or -1;
         # same[c][i]: that target is of cube i's level
-        faces = self._face_table()
+        faces = self._face_table
         tgt = [np.where((f >= 0) & (levels - levels[f] <= 2), f, -1).astype(np.int32)
                for f in faces]
         same: list[np.ndarray] = []
@@ -454,20 +451,15 @@ def whitney_decompose(domain: Domain, min_level_cutoff: int) -> WhitneyDecomposi
         raise ResourceLimitError(f"cutoff {min_level_cutoff} exceeds {MAX_CUTOFF}")
     x0, y0, x1, y1 = domain.bbox()
     extent = max(x1 - x0, y1 - y0)
-    if extent <= 0:
-        warnings.warn("empty domain; returning empty decomposition", stacklevel=2)
-        z = np.zeros(0, dtype=np.int64)
-        return WhitneyDecomposition(domain, min_level_cutoff, z, z, z, np.zeros(0))
-    j0 = math.floor(-math.log2(extent))
-    side0 = 2.0 ** (-j0)
-    gx = np.arange(math.floor(x0 / side0), math.floor(x1 / side0) + 1, dtype=np.int64)
-    gy = np.arange(math.floor(y0 / side0), math.floor(y1 / side0) + 1, dtype=np.int64)
-    ix, iy = np.meshgrid(gx, gy, indexing="ij")
-    ix = ix.ravel()
-    iy = iy.ravel()
+    level, gx, gy = 0, np.zeros(0, np.int64), np.zeros(0, np.int64)
+    if extent > 0:
+        level = math.floor(-math.log2(extent))
+        side0 = 2.0 ** (-level)
+        gx = np.arange(math.floor(x0 / side0), math.floor(x1 / side0) + 1, dtype=np.int64)
+        gy = np.arange(math.floor(y0 / side0), math.floor(y1 / side0) + 1, dtype=np.int64)
+    ix, iy = (g.ravel() for g in np.meshgrid(gx, gy, indexing="ij"))
 
-    acc_levels, acc_ix, acc_iy, acc_dist = [], [], [], []
-    level = j0
+    accepted = []  # (levels, ix, iy, dist) of each level's accepted cubes
     while len(ix) and level <= min_level_cutoff:
         s = 2.0 ** (-level)
         cx = (ix + 0.5) * s
@@ -478,32 +470,24 @@ def whitney_decompose(domain: Domain, min_level_cutoff: int) -> WhitneyDecomposi
         accept = inside & (dist >= s * SQRT2)
         discard = (~inside) & (dist > 0.0)
         if np.any(accept):
-            acc_levels.append(np.full(int(accept.sum()), level, dtype=np.int64))
-            acc_ix.append(ix[accept])
-            acc_iy.append(iy[accept])
-            acc_dist.append(dist[accept])
+            accepted.append((np.full(int(accept.sum()), level, dtype=np.int64),
+                             ix[accept], iy[accept], dist[accept]))
         split = ~(accept | discard)
         ix, iy = _split_cells(ix[split], iy[split])
         level += 1
 
-    if not acc_levels:
-        warnings.warn("no cube accepted; domain may be empty at this cutoff",
-                      stacklevel=2)
+    if not accepted:
+        warnings.warn("no cube accepted; the domain is empty or thinner than "
+                      "this cutoff resolves", stacklevel=2)
         z = np.zeros(0, dtype=np.int64)
-        return WhitneyDecomposition(domain, min_level_cutoff, z, z, z, np.zeros(0))
-    return WhitneyDecomposition(
-        domain, min_level_cutoff,
-        np.concatenate(acc_levels), np.concatenate(acc_ix),
-        np.concatenate(acc_iy), np.concatenate(acc_dist))
+        accepted = [(z, z, z, np.zeros(0))]
+    return WhitneyDecomposition(domain, min_level_cutoff,
+                                *(np.concatenate(a) for a in zip(*accepted)))
 
 
 def _split_cells(ix: np.ndarray, iy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    bx = ix * 2
-    by = iy * 2
-    ox = np.array([0, 1, 0, 1], dtype=np.int64)
-    oy = np.array([0, 0, 1, 1], dtype=np.int64)
-    return ((bx[:, None] + ox[None, :]).ravel(),
-            (by[:, None] + oy[None, :]).ravel())
+    return ((2 * ix[:, None] + [0, 1, 0, 1]).ravel(),
+            (2 * iy[:, None] + [0, 0, 1, 1]).ravel())
 
 
 #: face directions, in the order of the rows of the face-neighbour table
@@ -531,8 +515,6 @@ def _face_neighbours(keys: np.ndarray, levels: np.ndarray, ix: np.ndarray,
     """
     n = len(keys)
     out = np.full((4, n), -1, dtype=np.int32)
-    if n == 0:
-        return out
     ids = np.arange(n, dtype=np.int64)
     for d, (dx, dy) in enumerate(FACE_DIRS):
         todo = ids[out[d] < 0]
@@ -623,21 +605,6 @@ def _check_reach(length: np.ndarray, reach: np.ndarray) -> None:
 QH_DIAMETER_BOUND = 1.0 / 3.0
 
 
-def _split_selected(domain, cap: float, sel: np.ndarray, levels: np.ndarray,
-                    ix: np.ndarray, iy: np.ndarray, dist: np.ndarray):
-    """Replace the cubes ``sel`` by their four children, measured by the
-    oracle capped at ``cap`` sides: the kept cubes first, then the children
-    in the order of their parents."""
-    keep = ~sel
-    sx, sy = _split_cells(ix[sel], iy[sel])
-    sl = np.repeat(levels[sel], 4) + 1
-    s = 2.0 ** (-sl.astype(float))
-    sd = domain.cube_boundary_distance_capped(
-        (sx + 0.5) * s, (sy + 0.5) * s, s / 2.0, cap * s)
-    return (np.concatenate([levels[keep], sl]), np.concatenate([ix[keep], sx]),
-            np.concatenate([iy[keep], sy]), np.concatenate([dist[keep], sd]))
-
-
 def refine_for_qh(w: WhitneyDecomposition,
                   qh_bound: float = QH_DIAMETER_BOUND) -> WhitneyDecomposition:
     """Split cubes until diag(Q) / dist(Q, boundary) <= ``qh_bound`` everywhere.
@@ -646,48 +613,59 @@ def refine_for_qh(w: WhitneyDecomposition,
     quasihyperbolic diameter of the cube from above, so the refined cubes
     satisfy the in-cube distance budget used by the graph metric.  The
     default budget is 1/3; accuracy-critical callers may pass a smaller
-    value, which only strengthens the guarantee.  A 2:1 style balance pass
-    keeps the neighbor side ratio within 4.
+    value, which only strengthens the guarantee.
+
+    Touching refined cubes are at most one level apart (the Whitney lemma
+    of Stein, *Singular Integrals*, ch. VI, sec. 1, refined).  Let s be a
+    cube's side, d its exact boundary distance and q = ``qh_bound`` <= 1/3.
+    Every refined cube has sqrt(2) s <= q d: a capped oracle value hides only
+    distances above the cap, which never split, and the sweep's cap 8 s is
+    never reached, as an accepted Whitney cube has d < 4 sqrt(2) s.  A cube
+    split off here has a parent with 2 sqrt(2) s > q d(parent) and
+    d <= d(parent) + 2 sqrt(2) s, so d < 2 sqrt(2) s (1 + q) / q, a bound
+    an unsplit sweep cube meets too.  Touching cubes have
+    d <= d' + sqrt(2) s', so s <= q d / sqrt(2) < (2 + 3q) s' <= 3 s', and
+    dyadic sides give s <= 2 s'.  Only an oracle whose distances are wrong
+    below the cap breaks this: a face neighbour 3 or more levels coarser,
+    past the bound :meth:`WhitneyDecomposition.stencil_graph` relies on,
+    raises :class:`OracleError`.
     """
     if not 0.0 < qh_bound <= QH_DIAMETER_BOUND:
         raise ValueError("qh_bound must be in (0, 1/3]")
     # every step below builds new arrays, so w's own are never written
     levels, ix, iy, dist = w.levels, w.ix, w.iy, w.dist
-    domain = w.domain
     # distances only steer threshold comparisons against small multiples of
     # the side, so the oracle may clamp beyond this cap without changing any
     # decision (polygon domains exploit it; exact oracles ignore it)
     cap = SQRT2 / qh_bound + 2.0
     while True:
-        side = 2.0 ** (-levels.astype(float))
-        need = side * SQRT2 / dist > qh_bound
+        need = 2.0 ** (-levels.astype(float)) * SQRT2 / dist > qh_bound
         if not np.any(need):
             break
-        levels, ix, iy, dist = _split_selected(domain, cap, need,
-                                               levels, ix, iy, dist)
+        keep = ~need
+        sx, sy = _split_cells(ix[need], iy[need])
+        sl = np.repeat(levels[need], 4) + 1
+        s = 2.0 ** (-sl.astype(float))
+        sd = w.domain.cube_boundary_distance_capped(
+            (sx + 0.5) * s, (sy + 0.5) * s, s / 2.0, cap * s)
+        levels, ix, iy, dist = (
+            np.concatenate([levels[keep], sl]), np.concatenate([ix[keep], sx]),
+            np.concatenate([iy[keep], sy]), np.concatenate([dist[keep], sd]))
 
-    # balance: adjacent cubes may differ by at most 2 levels (ratio 4).  The
-    # split loop adds at most a few levels per cube, so the imbalance to
-    # repair is bounded; the face-neighbour probe of the last round is the
-    # one of the final decomposition, so it is kept.
-    while True:
-        keys = _pack(levels, ix, iy)
-        order = np.argsort(keys)
-        keys = keys[order]
-        levels, ix, iy, dist = levels[order], ix[order], iy[order], dist[order]
-        max_diff = min(int(levels.max() - levels.min()), 8)
-        faces = _face_neighbours(keys, levels, ix, iy, max_diff)
-        # a neighbour is never finer than the cube that found it
-        bad = (faces >= 0) & (levels - levels[faces] >= 3)
-        if not np.any(bad):
-            break
-        too_coarse = np.zeros(len(levels), dtype=bool)
-        too_coarse[faces[bad]] = True
-        levels, ix, iy, dist = _split_selected(domain, cap, too_coarse,
-                                               levels, ix, iy, dist)
-
-    out = WhitneyDecomposition(domain, w.min_level_cutoff, levels, ix, iy, dist)
-    # the probe ran on canonically sorted arrays, so its positions are valid
-    # for the constructed object
-    out._faces = faces
+    out = WhitneyDecomposition(w.domain, w.min_level_cutoff, levels, ix, iy, dist)
+    # the face table looks at most 4 levels up; the cells it leaves
+    # unmatched are probed further up
+    faces, lv = out._face_table, out.levels
+    spread = int(lv.max() - lv.min()) if len(out) else 0
+    for d, (dx, dy) in enumerate(FACE_DIRS):
+        f = faces[d].astype(np.int64)
+        i = np.flatnonzero(f < 0)
+        f[i] = _locate(out.keys, lv[i], out.ix[i] + dx, out.iy[i] + dy,
+                       range(5, spread + 1))
+        bad = np.flatnonzero((f >= 0) & (lv - lv[f] >= 3))
+        if len(bad):
+            i = bad[0]
+            raise OracleError(
+                f"refined {out.cube(i)} has a face neighbour {lv[i] - lv[f[i]]} "
+                "levels coarser; the oracle's boundary distances are inconsistent")
     return out

@@ -131,6 +131,16 @@ class TestIntegratedMeasureBound:
         rep = ct.integrated_measure_bound(carpet, "horizontal", 2)
         assert rep.exact == 6 * Fraction(8, 9) ** 2
 
+    def test_packing_enumerated_only(self):
+        # a packing's tail has no closed form: the bound is the enumeration
+        f = apollonian(TangentCircleTriple.three_unit(), 0.05)
+        rep = ct.integrated_measure_bound(f, "horizontal", 1)
+        assert rep.exact is None
+        assert rep.bound == rep.value
+        assert rep.value == float(3 * sum(
+            Fraction(d) ** 2 for j in range(2, f.max_level + 1)
+            for d in f.hole_diameters(j).tolist()))
+
     def test_dropped_hole_raises(self):
         g = gasket_levels(5)
         lv = g.levels[3]

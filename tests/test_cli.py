@@ -2,6 +2,8 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
 from detourkit.cli import RunConfig, build_parser, main
 
 
@@ -59,6 +61,14 @@ class TestWhitneyAndQhyp:
         # the comb's graph is disconnected at cutoff 9, so the boundary
         # geodesic fails after the fit and the shadows have succeeded
         assert run(tmp_path, "qhyp", "--scene", "comb", "--cutoff", "9") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_qhyp_without_cubes_is_an_error(self, tmp_path, capsys):
+        # cutoff 0 accepts no cube of the unit disk
+        with pytest.warns(UserWarning, match="no cube accepted"):
+            assert run(tmp_path, "qhyp", "--scene", "disk", "--cutoff", "0") == 1
+        assert capsys.readouterr().err.startswith(
+            "error: no accepted cube at cutoff 0")
         assert list(tmp_path.iterdir()) == []
 
 
@@ -320,3 +330,7 @@ class TestParser:
                                 32, 5, 0.25, Path("o"))
         assert all(type(getattr(cfg, f)) is type(getattr(RunConfig(""), f))
                    for f in ("seed", "epsilon", "p", "min_radius", "qh_bound"))
+
+    def test_flags_before_the_command(self):
+        ns = build_parser().parse_args(["--cutoff", "7", "whitney", "--scene", "disk"])
+        assert (ns.command, ns.cutoff, ns.scene) == ("whitney", 7, "disk")

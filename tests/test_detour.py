@@ -191,6 +191,22 @@ def reference_arc_route(poly, entry, exit_):
     return (ccw, d_ccw) if d_ccw <= d_cw else (cw, d_cw)
 
 
+def reference_exceptional(line, f, level):
+    """check_exceptional's message (None when the line passes) over the
+    vertex stack it used to build: the level's solid vertices, then every
+    gasket hole vertex of the levels up to it."""
+    parts = [f.solid_polygons(level).reshape(-1, 2)]
+    if f.kind == "gasket":
+        parts += [f.levels[j].holes.reshape(-1, 2) for j in range(level + 1)
+                  if len(f.levels[j].holes)]
+    verts = np.vstack(parts)
+    d = line.distance_to_points(verts)
+    j = int(np.argmin(d))
+    if d[j] <= dt.VERTEX_TOL:
+        return f"line passes within {d[j]:.2e} of vertex ({verts[j, 0]}, {verts[j, 1]})"
+    return None
+
+
 def probe_points(scene, rng):
     """Random points over the scene box, edge_owner_probes of solids and
     holes, hole centroids and hole vertices (exactly on hole boundaries)."""
@@ -669,6 +685,52 @@ class TestDetourPath:
         with pytest.raises(ExceptionalLineError):
             dt.detour_path(Line.horizontal(0.0), gasket6, 0.1)
 
+    @pytest.mark.parametrize("make", [lambda: gasket_levels(8),
+                                      lambda: carpet_levels(4)])
+    def test_exceptional_check_matches_vertex_stack(self, make):
+        # every gasket hole vertex is a solid vertex of each deeper level,
+        # so the solids alone give the same verdicts and messages
+        f = make()
+        rng = np.random.default_rng(17)
+        exceptional = 0
+        for m in range(f.max_level + 1):
+            solid = f.solid_polygons(m).reshape(-1, 2)
+            if f.kind == "gasket":
+                holes = np.vstack([f.levels[j].holes.reshape(-1, 2)
+                                   for j in range(1, m + 1)] + [np.empty((0, 2))])
+                assert set(map(tuple, holes.tolist())) <= set(map(tuple, solid.tolist()))
+            picks = solid[rng.choice(len(solid), min(len(solid), 6), replace=False)]
+            lines = [Line((math.cos(th), math.sin(th)), float(off))
+                     for th, off in zip(rng.uniform(0.0, math.pi, 4),
+                                        rng.uniform(-0.1, 1.0, 4))]
+            for (x, y), nudge in zip(picks, (0.0, 5e-10, -9e-10, 1.1e-9, -3e-9, 0.0)):
+                lines += [Line.horizontal(float(y) + nudge), Line.vertical(float(x) - nudge),
+                          Line((1.0, 1.0), (y - x) / math.sqrt(2.0) + nudge)]
+            for line in lines:
+                want = reference_exceptional(line, f, m)
+                try:
+                    dt.check_exceptional(line, f, m)
+                    got = None
+                except ExceptionalLineError as exc:
+                    got = str(exc)
+                assert got == want, (m, line)
+                exceptional += want is not None
+        assert exceptional > 10 * f.max_level
+
+    def test_degenerate_crossings(self, gasket6):
+        # just below the level-1 hole's bottom edge, the line only touches
+        # two level-5 solids at their apexes
+        line = Line.horizontal(SQRT3 / 4 - 5e-9)
+        rep = dt.detour_path(line, gasket6, 0.05)
+        assert rep.ok and rep.level == 5
+        cover = dt.interval_cover(line, gasket6, 5)
+        assert len(cover) == 2 and all(cv.degenerate for cv in cover)
+        ver = dt.verify_detour(rep.path, gasket6)
+        assert ver.all_ok and ver.coverage_margin == 0.0
+        poly = rep.path.polyline.tolist()
+        for cv in cover:
+            assert line.point_at(cv.interval.lo).tolist() in poly
+
     def test_epsilon_below_resolution(self, gasket6):
         with pytest.raises(ResolutionError):
             dt.detour_path(Line.horizontal(0.3), gasket6, 1e-4)
@@ -900,6 +962,12 @@ class TestStructuralChecks:
     def test_gasket_area_decay_exact(self, gasket6):
         rep = dt.structural_checks(gasket6)
         assert rep.area_fraction == [0.75 ** m for m in range(7)]
+
+    def test_carpet_area_decay(self):
+        rep = dt.structural_checks(carpet_levels(4))
+        assert rep.kind == "carpet"
+        assert rep.area_fraction == pytest.approx([(8.0 / 9.0) ** m for m in range(5)],
+                                                  rel=1e-15)
 
     def test_apollonian_radii_decreasing(self):
         from detourkit.fractals import TangentCircleTriple, apollonian

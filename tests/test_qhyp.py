@@ -85,6 +85,15 @@ class TestDistance:
             d = solver.distance((0.0, 0.0), (r / math.sqrt(2.0), r / math.sqrt(2.0)))
             assert abs(d / true - 1.0) <= 0.07, (r, d, true)
 
+    def test_too_small_limit_reruns_unbounded(self):
+        w = refine_for_qh(whitney_decompose(DiskDomain(), 8))
+        a, b = (0.1, 0.2), (0.7, -0.3)
+        # the bounded search does not reach b's cube
+        assert qhyp.GeodesicSolver(w)._best_pair(a, b, 1e-3)[2] == math.inf
+        bounded = qhyp.GeodesicSolver(w).distance(a, b, limit=1e-3)
+        assert bounded == qhyp.GeodesicSolver(w).distance(a, b)
+        assert bounded == pytest.approx(1.6077, abs=1e-4)
+
     def test_scaling_invariance_power_of_two(self):
         # dyadic frames map exactly onto each other under doubling
         a, b = (0.0, 0.0), (0.5, 0.25)

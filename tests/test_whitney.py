@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from detourkit.domains import DiskDomain, PolygonDomain, comb_domain
-from detourkit.errors import (GraphInvariantError, ResourceLimitError,
-                              UncoveredPointError)
+from detourkit.errors import (GraphInvariantError, OracleError,
+                              ResourceLimitError, UncoveredPointError)
 from detourkit.whitney import (CORNER_UPPER, WhitneyDecomposition, _pack,
                                refine_for_qh, whitney_decompose)
 
@@ -17,6 +17,12 @@ SQRT2 = math.sqrt(2.0)
 def unit_square_domain():
     return PolygonDomain(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0],
                                    [0.0, 1.0]]), name="square")
+
+
+def l_shape_domain():
+    # the reflex corner at (0.5, 0.5) is a boundary point inside the hull
+    return PolygonDomain(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.5], [0.5, 0.5],
+                                   [0.5, 1.0], [0.0, 1.0]]), name="L")
 
 
 @pytest.fixture(scope="module")
@@ -61,9 +67,13 @@ class TestSelection:
             w = whitney_decompose(tiny, 4)
         assert len(w) == 0
 
-    def test_inconsistent_oracle_rejected(self):
-        from detourkit.errors import OracleError
+    def test_zero_extent_domain_warns(self):
+        with pytest.warns(UserWarning, match="no cube accepted"):
+            w = whitney_decompose(DiskDomain(radius=0.0), 5)
+        assert len(w) == 0
+        assert len(refine_for_qh(w)) == 0
 
+    def test_inconsistent_oracle_rejected(self):
         class BrokenDisk(DiskDomain):
             def boundary_distance(self, pts):
                 # claims boundary contact everywhere while contains() says
@@ -199,7 +209,43 @@ class TestRefine:
         refined = refine_for_qh(disk10)
         edges, _ = refined.adjacency_edges()
         diff = np.abs(refined.levels[edges[:, 0]] - refined.levels[edges[:, 1]])
-        assert diff.max() <= 2
+        assert diff.max() <= 1
+
+    @pytest.mark.parametrize("make", [DiskDomain, comb_domain, l_shape_domain])
+    def test_touching_cubes_one_level_apart(self, make):
+        # the bound refine_for_qh's docstring proves for consistent oracles
+        w = whitney_decompose(make(), 8)
+        for q in (1.0 / 3.0, 1.0 / 10.0):
+            refined = refine_for_qh(w, q)
+            edges, _ = refined.adjacency_edges()
+            diff = np.abs(refined.levels[edges[:, 0]] - refined.levels[edges[:, 1]])
+            assert diff.max() == 1, q
+
+    def test_lying_oracle_raises(self):
+        # distances capped in a band near the boundary: the sweep accepts
+        # coarse cubes there that touch cubes 4 levels finer, which no
+        # refinement of a consistent oracle produces
+        class LyingDisk(DiskDomain):
+            def cube_boundary_distance_capped(self, cx, cy, half, cap):
+                d = super().cube_boundary_distance_capped(cx, cy, half, cap)
+                lie = (cx > 0.5) & (np.abs(cy) < 0.2)
+                return np.where(lie, np.broadcast_to(cap, d.shape), d)
+
+        with pytest.raises(OracleError, match="levels coarser; the oracle"):
+            refine_for_qh(whitney_decompose(LyingDisk(), 8))
+
+    def test_gap_beyond_face_table_raises(self):
+        # a level-0 cube whose right face meets 64 level-6 cubes: the face
+        # table looks 4 levels up, and the check probes the rest
+        levels = np.array([0] + [6] * 64)
+        ix = np.array([0] + [64] * 64)
+        iy = np.arange(-1, 64)
+        iy[0] = 0
+        w = WhitneyDecomposition(DiskDomain((0.5, 0.5), 10.0), 6, levels, ix,
+                                 iy, np.full(65, 100.0))
+        assert np.all(w._face_table[2] < 0)  # no left neighbour found
+        with pytest.raises(OracleError, match="6 levels coarser"):
+            refine_for_qh(w)
 
     def test_tighter_bound_allowed(self, disk10):
         refined = refine_for_qh(disk10, 1.0 / 5.0)
