@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
@@ -379,11 +380,32 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     cfg = RunConfig(**vars(ns))
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            status, error = run(cfg), None
+        except DetourkitError as exc:
+            status, error = 1, exc
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+    # the warnings go on to the warnings machinery, so that a caller who
+    # records them still gets them; the terminal shows each as one line,
+    # and none after an error line, which already says what went wrong
+    shown = warnings.formatwarning
+    warnings.formatwarning = _warning_line if error is None else _no_line
     try:
-        return run(cfg)
-    except DetourkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    finally:
+        warnings.formatwarning = shown
+    return status
+
+
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
+def _no_line(message, category, filename, lineno, line=None) -> str:
+    return ""
 
 
 if __name__ == "__main__":

@@ -134,6 +134,7 @@ class GeodesicSolver:
         n = len(w)
         indptr, indices, weights = w.stencil_graph()
         self.graph = csr_matrix((weights, indices, indptr), shape=(n, n))
+        self._max_weight = float(self.graph.data.max(initial=0.0))
         self._cache: dict[int, tuple[float, np.ndarray, np.ndarray | None]] = {}
 
     # --- infrastructure -----------------------------------------------------
@@ -145,8 +146,9 @@ class GeodesicSolver:
         ``limit`` prunes the search radius; entries beyond it come back as
         inf.  A cached run is reused only when its radius covers the request
         and it holds predecessors if they are asked for.  Distance queries
-        skip the predecessors, which keeps the cache a third smaller.  The
-        cache is cleared when a new run would push it past
+        skip the predecessors, which keeps the cache a third smaller, and
+        cache a bounded run that holds its whole graph component as
+        unbounded.  The cache is cleared when a new run would push it past
         ``DIJKSTRA_CACHE_BYTES``.
         """
         hit = self._cache.get(src)
@@ -189,42 +191,110 @@ class GeodesicSolver:
                    predecessors: bool = False) -> tuple[int, int, float]:
         """Cheapest (source cube, target cube) pair for two query points.
 
-        A point on a shared cube boundary belongs to every adjacent closed
-        cube; the distance minimizes over the admissible assignments.
+        Every source cube gets one run to radius ``limit``; a pair beyond
+        it costs inf.
         """
         cas = self._endpoint_cubes(pa)
         cbs = self._endpoint_cubes(pb)
+        dists = {ca: self.run_dijkstra(ca, limit, predecessors)[0] for ca in cas}
+        return self._cheapest(pa, pb, cas, cbs, dists)
+
+    def _cheapest(self, pa, pb, cas: list[int], cbs: list[int],
+                  dists: dict) -> tuple[int, int, float]:
+        """Cheapest pair over the cubes ``cas`` of ``pa`` and ``cbs`` of ``pb``.
+
+        A point on a shared cube boundary belongs to every adjacent closed
+        cube; the distance minimizes over the admissible assignments.  A
+        pair of one cube costs the straight leg; any other pair adds the
+        legs to ``dists[ca][cb]``.
+        """
         best = None
         for ca in cas:
-            dist, _ = self.run_dijkstra(ca, limit, predecessors)
             la = self.leg(pa, ca)
             for cb in cbs:
                 if ca == cb:
                     v = math.hypot(pa[0] - pb[0], pa[1] - pb[1]) \
                         / self.w.delta_center[ca]
                 else:
-                    v = la + float(dist[cb]) + self.leg(pb, cb)
+                    v = la + float(dists[ca][cb]) + self.leg(pb, cb)
                 if best is None or v < best[2]:
                     best = (ca, cb, v)
         return best
+
+    def _ball(self, src: int, radius: float) -> tuple[float, np.ndarray]:
+        """Distance-only run from ``src`` over at least ``radius``.
+
+        Returns the radius the run covers (a cached run may cover more) and
+        its distances.
+        """
+        dist, _ = self.run_dijkstra(src, radius, predecessors=False)
+        return self._cache[src][0], dist
+
+    def _grow(self, src: int, radius: float, dist: np.ndarray,
+              value: float) -> tuple[float, np.ndarray]:
+        """Next run from ``src`` after its run to ``radius`` left ``value`` undecided.
+
+        The ball grows to where it would hold four times its cubes if it
+        kept growing as it did from ``radius / 2``, so the work of the runs
+        grows geometrically whether balls grow fast (toward a smooth
+        boundary) or slowly (along corridors).  A finite best total is an
+        upper bound and caps the radius, since a run to it decides.
+        Without one, a run holds its whole graph component when its radius
+        passes its largest distance by the largest edge weight (every
+        relaxation out of a reached cube then stayed within the radius, as
+        rounded addition is monotone); it is cached as unbounded and
+        answers inf beyond.  A ball that would hold a quarter of the cubes
+        grows to the whole graph instead.
+        """
+        reached = dist[dist < math.inf]
+        if math.isinf(value):
+            if radius >= reached.max() + self._max_weight:
+                hit = self._cache.get(src)
+                if hit is not None and hit[1] is dist:
+                    self._cache[src] = (math.inf, dist, hit[2])
+                return math.inf, dist
+            if 16 * len(reached) >= len(dist):
+                return self._ball(src, math.inf)
+        rate = math.log2(len(reached) / np.count_nonzero(reached <= radius / 2.0))
+        step = radius / rate if rate > 0.0 else math.inf
+        return self._ball(src, min(radius + step, value))
 
     def distance(self, a, b, limit: float = math.inf) -> float:
         """Graph quasihyperbolic distance between points of the domain.
 
         Symmetric by construction: the arguments are put in canonical order
         first, so distance(a, b) and distance(b, a) run identically.
-        ``limit`` bounds the search radius as a performance hint; when it
-        turns out too small the query reruns unbounded, so the result never
-        depends on it.
+
+        The search settles balls around the source cubes and grows them
+        until they decide the answer.  The first radius is ``limit`` or,
+        without one, 2 j + 1 for j = log(1 + |a - b| / min delta) over the
+        endpoint cubes, since the quasihyperbolic distance is at least j; a
+        cached run is read at the radius it holds.  A best total no larger
+        than the smallest radius read is exact, because a pair beyond a
+        run's radius costs more than that radius.  Otherwise the short runs
+        grow (:meth:`_grow`).  Every value equals the unbounded search's bit
+        for bit, whatever ``limit`` and the cache.
         """
         pa = (float(a[0]), float(a[1]))
         pb = (float(b[0]), float(b[1]))
         if pb < pa:
             pa, pb = pb, pa
-        value = self._best_pair(pa, pb, limit)[2]
-        if not math.isfinite(value) and math.isfinite(limit):
-            value = self._best_pair(pa, pb)[2]
-        return value
+        cas = self._endpoint_cubes(pa)
+        cbs = self._endpoint_cubes(pb)
+        if not math.isfinite(limit):
+            near = float(self.w.delta_center[cas + cbs].min())
+            limit = 2.0 * math.log1p(math.hypot(pb[0] - pa[0], pb[1] - pa[1]) / near) + 1.0
+        # a source cube that is the only target cube needs no run
+        runs = {ca: self._ball(ca, self._cache[ca][0] if ca in self._cache else limit)
+                for ca in cas if cbs != [ca]}
+        while True:
+            value = self._cheapest(pa, pb, cas, cbs,
+                                   {ca: dist for ca, (_, dist) in runs.items()})[2]
+            short = [ca for ca, (radius, _) in runs.items() if radius < value]
+            if not short:
+                return value
+            for ca in short:
+                runs[ca] = self._grow(ca, *runs[ca], value)
 
     def geodesic(self, a, b) -> Geodesic:
         pa = (float(a[0]), float(a[1]))

@@ -31,6 +31,9 @@ _COORD_BIAS = 1 << 27
 #: corner comparability: ell(Q) <= corner delta <= CORNER_UPPER * ell(Q)
 CORNER_UPPER = 4.0 * SQRT2 + SQRT2
 
+#: the two nudges of a located point, in cube sides (see find_cubes)
+_NUDGE = np.array([[-1e-12], [1e-12]])
+
 
 def _pack(level: np.ndarray, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
     lv = (np.asarray(level, dtype=np.int64) + _LEVEL_BIAS) << 56
@@ -135,17 +138,15 @@ class WhitneyDecomposition:
         if not len(self):
             return []
         lv, s = self._level_list
-        x, y = float(point[0]), float(point[1])
         # the cell of the point nudged by -eps and by +eps along each axis,
-        # at every level, in all four combinations of the two nudges
-        eps = s * 1e-12
-        s2 = np.concatenate([s, s])
-        cx = np.floor(np.concatenate([x - eps, x + eps]) / s2).astype(np.int64)
-        cy = np.floor(np.concatenate([y - eps, y + eps]) / s2).astype(np.int64)
-        cand = _pack(np.tile(lv, 4), np.concatenate([cx, cx]),
-                     np.concatenate([cy, np.roll(cy, len(lv))]))
+        # at every level: rows are the two nudges, columns the levels, and
+        # the keys broadcast over all four combinations of the two nudges
+        nudge = _NUDGE * s
+        cx = np.floor((float(point[0]) + nudge) / s).astype(np.int64)
+        cy = np.floor((float(point[1]) + nudge) / s).astype(np.int64)
+        cand = _pack(lv, cx[:, None], cy[None, :]).ravel()
         pos = np.minimum(np.searchsorted(self.keys, cand), len(self) - 1)
-        return [int(i) for i in np.unique(pos[self.keys[pos] == cand])]
+        return sorted(set(pos[self.keys[pos] == cand].tolist()))
 
     def find_cube(self, point) -> int:
         """Index of the accepted cube containing ``point``.

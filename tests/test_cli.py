@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import detourkit
 from detourkit.cli import RunConfig, build_parser, main
 
 
@@ -69,6 +73,34 @@ class TestWhitneyAndQhyp:
             assert run(tmp_path, "qhyp", "--scene", "disk", "--cutoff", "0") == 1
         assert capsys.readouterr().err.startswith(
             "error: no accepted cube at cutoff 0")
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestWarningLines:
+    """What a terminal shows: pytest records the warnings of in-process
+    runs, so these run the command line in a child process."""
+
+    @staticmethod
+    def cli(tmp_path, *args):
+        src = str(Path(detourkit.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        return subprocess.run(
+            [sys.executable, "-m", "detourkit.cli", *args, "--output-dir", str(tmp_path)],
+            capture_output=True, text=True, env=env, check=False)
+
+    def test_empty_sweep_warns_in_one_line(self, tmp_path):
+        done = self.cli(tmp_path, "whitney", "--scene", "disk", "--cutoff", "0")
+        assert done.returncode == 0
+        assert done.stderr == ("warning: no cube accepted; the domain is empty or "
+                               "thinner than this cutoff resolves\n")
+        assert json.loads((tmp_path / "whitney.json").read_text())["cubes"] == 0
+        assert (tmp_path / "cubes.csv").read_text().count("\n") == 1
+
+    def test_failed_command_prints_only_its_error(self, tmp_path):
+        done = self.cli(tmp_path, "qhyp", "--scene", "disk", "--cutoff", "0")
+        assert done.returncode == 1
+        assert done.stderr == "error: no accepted cube at cutoff 0; increase the cutoff\n"
         assert list(tmp_path.iterdir()) == []
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
 from detourkit import qhyp
@@ -440,3 +441,87 @@ class TestBatchedBoundaryChains:
         tree = cKDTree(w.centers)
         assert got.tolist() == [_ref_nearest_cube(w, tree, p) for p in pts]
         assert w.nearest_cube(pts[0]) == got[0]
+
+
+# --- radius-bounded distance queries against an unbounded reference -----------
+
+def _ref_leg(w, p, c):
+    return math.hypot(p[0] - w.centers[c, 0], p[1] - w.centers[c, 1]) / w.delta_center[c]
+
+
+def _ref_totals(solver, runs, a, b):
+    """(total, graph part) of every cube pair of two points, canonical order.
+
+    ``runs`` caches one unbounded scipy Dijkstra per source cube.  A pair of
+    one cube costs the straight leg and has graph part 0.
+    """
+    w = solver.w
+    pa, pb = sorted([(float(a[0]), float(a[1])), (float(b[0]), float(b[1]))])
+    out = []
+    for ca in w.find_cubes(pa):
+        if ca not in runs:
+            runs[ca] = dijkstra(solver.graph, indices=ca)
+        for cb in w.find_cubes(pb):
+            if ca == cb:
+                out.append((math.hypot(pa[0] - pb[0], pa[1] - pb[1])
+                            / w.delta_center[ca], 0.0))
+            else:
+                d = float(runs[ca][cb])
+                out.append((_ref_leg(w, pa, ca) + d + _ref_leg(w, pb, cb), d))
+    return out
+
+
+def _seeded_points(w, rng, n):
+    """Points inside random cubes and corners of random cubes, half each."""
+    ids = rng.choice(len(w), n, replace=False)
+    inner = w.centers[ids[::2]] + (rng.uniform(-0.5, 0.5, (len(ids[::2]), 2))
+                                   * w.side[ids[::2], None])
+    corner = w.centers[ids[1::2]] - w.side[ids[1::2], None] / 2.0
+    return [tuple(p) for p in np.vstack([inner, corner]).tolist()]
+
+
+@pytest.fixture(scope="module")
+def disk8():
+    return refine_for_qh(whitney_decompose(DiskDomain(), 8))
+
+
+class TestBoundedSearch:
+    # b is a corner shared by cubes of different levels: a bounded search
+    # that reaches only the dearer cube pair once returned its total
+    # (4.7594... at limit 4.616069046337154 for the first pair)
+    @pytest.mark.parametrize("a, b", [((0.05, 0.02), (0.9599609375, 0.244140625)),
+                                      ((-0.33, -0.03), (-0.91796875, 0.2890625))])
+    def test_limit_never_changes_the_value(self, disk8, a, b):
+        assert len(set(disk8.levels[disk8.find_cubes(b)].tolist())) > 1
+        exact = qhyp.GeodesicSolver(disk8).distance(a, b)
+        totals = _ref_totals(qhyp.GeodesicSolver(disk8), {}, a, b)
+        assert exact == min(t for t, _ in totals)
+        # the reached pairs change where the limit passes a pair's graph
+        # part: probe each of them, their neighbours and the gaps between
+        parts = sorted({d for _, d in totals if d > 0.0})
+        limits = set(np.linspace(1e-3, 6.0, 25).tolist())
+        for lo, hi in zip(parts, parts[1:] + [6.0]):
+            limits |= {lo, np.nextafter(lo, 0.0), (lo + hi) / 2.0}
+        for limit in sorted(limits):
+            got = qhyp.GeodesicSolver(disk8).distance(a, b, limit=float(limit))
+            assert got == exact, limit
+
+    @pytest.mark.parametrize("scene", ["disk", "comb10"])
+    def test_matches_unbounded_reference(self, request, scene):
+        w = request.getfixturevalue(scene)
+        rng = np.random.default_rng(23)
+        pts = _seeded_points(w, rng, 24)
+        pairs = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))]
+        pairs = [pairs[k] for k in rng.choice(len(pairs), 200, replace=False)]
+        solver = qhyp.GeodesicSolver(w)
+        runs: dict = {}
+        want = [min(t for t, _ in _ref_totals(solver, runs, pts[i], pts[j]))
+                for i, j in pairs]
+        # one solver, two query orders: the cache state changes no value
+        got = [solver.distance(pts[i], pts[j]) for i, j in pairs]
+        back = [solver.distance(pts[j], pts[i]) for i, j in pairs[::-1]]
+        assert got == want
+        assert back == want[::-1]
+        if scene == "comb10":
+            # the comb's rooms are separate graph components
+            assert 0 < sum(math.isinf(v) for v in want) < len(want)

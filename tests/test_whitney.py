@@ -403,6 +403,34 @@ class TestPointLocation:
         for p in points:
             assert w.find_cubes(p) == by_loop(p), p
 
+    @pytest.mark.parametrize("domain", [DiskDomain, comb_domain])
+    def test_find_cubes_matches_stacked_candidates(self, domain):
+        # reference: the candidate keys stacked with concatenate, tile and
+        # roll, as find_cubes built them before they were broadcast
+        w = refine_for_qh(whitney_decompose(domain(), 9))
+        lv, s = w._level_list
+
+        def stacked(p):
+            eps = s * 1e-12
+            s2 = np.concatenate([s, s])
+            cx = np.floor(np.concatenate([p[0] - eps, p[0] + eps]) / s2).astype(np.int64)
+            cy = np.floor(np.concatenate([p[1] - eps, p[1] + eps]) / s2).astype(np.int64)
+            cand = _pack(np.tile(lv, 4), np.concatenate([cx, cx]),
+                         np.concatenate([cy, np.roll(cy, len(lv))]))
+            pos = np.minimum(np.searchsorted(w.keys, cand), len(w) - 1)
+            return [int(i) for i in np.unique(pos[w.keys[pos] == cand])]
+
+        rng = np.random.default_rng(9)
+        pick = rng.choice(len(w), 400, replace=False)
+        lo = np.column_stack([w.ix[pick] * w.side[pick], w.iy[pick] * w.side[pick]])
+        half = w.side[pick][:, None] / 2.0
+        x0, y0, x1, y1 = w.domain.bbox()
+        points = np.vstack([lo, lo + half * [1.0, 0.0], lo + half * [0.0, 1.0],
+                            rng.uniform([x0, y0], [x1, y1], (400, 2))])
+        got = [w.find_cubes(p) for p in points]
+        assert got == [stacked(p) for p in points]
+        assert sum(len(g) > 1 for g in got) > 100
+
     def test_uncovered_raises_with_nearest(self, disk10):
         with pytest.raises(UncoveredPointError) as err:
             disk10.find_cube((0.9999999, 0.0))
