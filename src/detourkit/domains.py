@@ -19,6 +19,21 @@ the largest corner distance, bounds the boundary distance of its points.  A
 cell keeps the edges whose box is within ub * (1 + 1e-9) + 1e-12 of it (the
 slack covers the rounding of both at O(1) coordinates); points outside the
 closed box, NaN included, meet every edge.
+
+The capped cube oracle prunes in two steps.  It first tests the box of each
+group of CUBE_GROUP consecutive cubes (the span of their centres, grown by
+their largest reach) against each edge's box, then runs the per-cube test
+only on the cubes of the groups that pass.  Rounding is monotone, so a cube
+that passes its own test lies in a group that passes, and the kept pairs are
+exactly the per-cube test's.  Callers hand over cubes in sweep order, where
+consecutive cubes are near each other, so few groups pass.
+
+Containment tests each point only against the edges of its horizontal
+strip, the band between two consecutive distinct vertex ordinates.  Within
+a strip the edges that cross the point's ordinate are the same for every
+point, so the crossing count and its floats equal those of
+:func:`~detourkit.geometry.points_in_polygon` over all edges; points
+outside every strip, NaN included, cross no edge.
 """
 
 from __future__ import annotations
@@ -30,8 +45,8 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import (POINT_SEGMENT_CHUNK, Polygon, _next_vertices,
-                       _polygon_signed_area, points_in_polygon, sample_circle,
-                       sample_polygon_boundary, segment_distance_xy)
+                       _polygon_signed_area, sample_circle, sample_polygon_boundary,
+                       segment_distance_xy)
 
 __all__ = ["Domain", "DiskDomain", "PolygonDomain", "equilateral_triangle_domain",
            "comb_domain"]
@@ -163,6 +178,23 @@ def _box_segment_distance(cx, cy, half, ax, ay, bx, by):
 #: cells per side of the grid that prunes PolygonDomain's point oracle
 EDGE_GRID_CELLS = 32
 
+#: consecutive cubes whose joint box the capped cube oracle tests first
+CUBE_GROUP = 32
+
+
+def _point_edge_blocks(first: np.ndarray, count: np.ndarray, indices: np.ndarray):
+    """Blocks of about POINT_SEGMENT_CHUNK (point, edge) pairs, point k paired
+    with the edges ``indices[first[k]:first[k] + count[k]]``: yields the
+    block's points ``lo:hi``, the point and edge of each pair, and where each
+    point's pairs start in the block."""
+    before = np.cumsum(count) - count
+    cuts = np.flatnonzero(np.diff(before // POINT_SEGMENT_CHUNK, prepend=-1))
+    for lo, hi in zip(cuts, [*cuts[1:], len(count)]):
+        c, off = count[lo:hi], before[lo:hi] - before[lo]
+        pi = np.repeat(np.arange(lo, hi), c)
+        ei = indices[np.arange(len(pi)) + np.repeat(first[lo:hi] - off, c)]
+        yield lo, hi, pi, ei, off
+
 
 @dataclass(frozen=True, eq=False)
 class PolygonDomain(Domain):
@@ -203,8 +235,33 @@ class PolygonDomain(Domain):
         indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
         return (x0, y0, x1, y1, hx, hy), indptr, np.nonzero(keep)[1]
 
+    @cached_property
+    def _strips(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sorted distinct vertex ordinates and, as CSR (indptr,
+        indices), the edges that cross strip k, [ys[k], ys[k + 1])."""
+        ax, ay, bx, by = self._edges
+        ys = np.unique(ay)
+        lo, hi = np.minimum(ay, by), np.maximum(ay, by)
+        cross = (lo <= ys[:-1, None]) & (hi >= ys[1:, None])
+        indptr = np.concatenate([[0], np.cumsum(cross.sum(axis=1))])
+        return ys, indptr, np.nonzero(cross)[1]
+
     def contains(self, pts: np.ndarray) -> np.ndarray:
-        return points_in_polygon(np.atleast_2d(pts), self.vertices)
+        """:func:`~detourkit.geometry.points_in_polygon` bit for bit, each
+        point against the edges of its horizontal strip."""
+        x, y = np.atleast_2d(np.asarray(pts, dtype=float)).T
+        ys, indptr, indices = self._strips
+        k = np.searchsorted(ys, y, side="right") - 1
+        idx = np.flatnonzero((k >= 0) & (k < len(ys) - 1))       # never NaN
+        out = np.zeros(len(x), dtype=bool)
+        x, y, k = x[idx], y[idx], k[idx]
+        ax, ay, bx, by = self._edges
+        for lo, hi, pi, ei, off in _point_edge_blocks(indptr[k], np.diff(indptr)[k],
+                                                      indices):
+            x1, y1 = ax[ei], ay[ei]
+            xin = x1 + (y[pi] - y1) * (bx[ei] - x1) / (by[ei] - y1)
+            out[idx[lo:hi]] = np.logical_xor.reduceat(x[pi] < xin, off)
+        return out
 
     def boundary_distance(self, pts: np.ndarray) -> np.ndarray:
         """:func:`polygon_boundary_distance` bit for bit, each point against
@@ -216,14 +273,9 @@ class PolygonDomain(Domain):
         box = (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)      # False for NaN
         cell[box] = (np.minimum(((x[box] - x0) / hx).astype(np.intp), n - 1) * n
                      + np.minimum(((y[box] - y0) / hy).astype(np.intp), n - 1))
-        first, count = indptr[cell], np.diff(indptr)[cell]
-        before = np.cumsum(count) - count
-        cuts = np.flatnonzero(np.diff(before // POINT_SEGMENT_CHUNK, prepend=-1))
         out = np.empty(len(x))
-        for lo, hi in zip(cuts, [*cuts[1:], len(x)]):
-            c, off = count[lo:hi], before[lo:hi] - before[lo]
-            pi = np.repeat(np.arange(lo, hi), c)
-            ei = indices[np.arange(len(pi)) + np.repeat(first[lo:hi] - off, c)]
+        for lo, hi, pi, ei, off in _point_edge_blocks(indptr[cell], np.diff(indptr)[cell],
+                                                      indices):
             d = segment_distance_xy(x[pi], y[pi], *(a[ei] for a in self._edges))
             out[lo:hi] = np.minimum.reduceat(d, off)
         return out
@@ -234,20 +286,37 @@ class PolygonDomain(Domain):
     def cube_boundary_distance_capped(self, cx, cy, half, cap) -> np.ndarray:
         """Exact for distances up to ``cap``, clamped to it beyond: a cube
         measures only the edges whose bounding box, grown by ``cap + half``,
-        holds its centre, as any other is farther than ``cap``.  The (cube,
-        edge) pairs go through the pair kernel in blocks of POINT_SEGMENT_CHUNK,
-        which gives each pair the floats of the all-edges kernel."""
+        holds its centre, as any other is farther than ``cap``.  Groups of
+        CUBE_GROUP consecutive cubes are tested first (module docstring).
+        The (cube, edge) pairs go through the pair kernel in blocks of about
+        POINT_SEGMENT_CHUNK candidates, which gives each pair the floats of
+        the all-edges kernel."""
         cx, cy, half, cap = (np.asarray(a, dtype=float) for a in (cx, cy, half, cap))
-        reach = cap + half
-        near = [np.flatnonzero((cx >= min(x0, x1) - reach) & (cx <= max(x0, x1) + reach)
-                               & (cy >= min(y0, y1) - reach) & (cy <= max(y0, y1) + reach))
-                for x0, y0, x1, y1 in zip(*self._edges)]
-        ci = np.concatenate(near)
-        ei = np.repeat(np.arange(len(near)), [len(idx) for idx in near])
-        out = np.full(len(cx), np.inf)
-        for lo in range(0, len(ci), POINT_SEGMENT_CHUNK):
-            c, e = ci[lo:lo + POINT_SEGMENT_CHUNK], ei[lo:lo + POINT_SEGMENT_CHUNK]
-            d = _box_segment_pairs(cx[c], cy[c], half[c], *(a[e] for a in self._edges))
+        half = np.broadcast_to(half, cx.shape)
+        reach = np.broadcast_to(cap + half, cx.shape)
+        n = len(cx)
+        out = np.full(n, np.inf)
+        ax, ay, bx, by = self._edges
+        x0, x1 = np.minimum(ax, bx), np.maximum(ax, bx)
+        y0, y1 = np.minimum(ay, by), np.maximum(ay, by)
+        # fmin/fmax skip NaN, which fails every test below anyway
+        starts = np.arange(0, n, CUBE_GROUP)
+        r = np.fmax.reduceat(reach, starts)[:, None]
+        g, e = np.nonzero((np.fmax.reduceat(cx, starts)[:, None] >= x0 - r)
+                          & (np.fmin.reduceat(cx, starts)[:, None] <= x1 + r)
+                          & (np.fmax.reduceat(cy, starts)[:, None] >= y0 - r)
+                          & (np.fmin.reduceat(cy, starts)[:, None] <= y1 + r))
+        step = max(POINT_SEGMENT_CHUNK // CUBE_GROUP, 1)
+        for lo in range(0, len(g), step):
+            c = (g[lo:lo + step, None] * CUBE_GROUP + np.arange(CUBE_GROUP)).ravel()
+            k = np.repeat(e[lo:lo + step], CUBE_GROUP)
+            real = c < n                                # the last group may be short
+            c, k = c[real], k[real]
+            rc, px, py = reach[c], cx[c], cy[c]
+            near = np.flatnonzero((px >= x0[k] - rc) & (px <= x1[k] + rc)
+                                  & (py >= y0[k] - rc) & (py <= y1[k] + rc))
+            c, k = c[near], k[near]
+            d = _box_segment_pairs(px[near], py[near], half[c], ax[k], ay[k], bx[k], by[k])
             np.minimum.at(out, c, d)
         return np.minimum(out, np.broadcast_to(cap, out.shape))
 

@@ -243,8 +243,8 @@ class GeodesicSolver:
         passes its largest distance by the largest edge weight (every
         relaxation out of a reached cube then stayed within the radius, as
         rounded addition is monotone); it is cached as unbounded and
-        answers inf beyond.  A ball that would hold a quarter of the cubes
-        grows to the whole graph instead.
+        answers inf beyond.  Without one, a run that reached 1/16 of the
+        cubes is followed by a run over the whole graph.
         """
         reached = dist[dist < math.inf]
         if math.isinf(value):

@@ -244,6 +244,14 @@ class WhitneyDecomposition:
         steps from the same-level cube of a shorter one where there is such
         a cube, and probes the packed keys otherwise.
 
+        Row i lists its same-level targets first, in slot order: for each
+        positive offset of :data:`STENCIL` (dx > 0, or dx = 0 < dy) its
+        target, then the target at the opposite offset, whose weight has
+        the same bits, as addition commutes.  Its coarser targets follow,
+        then the finer cubes that target it, each by ascending id.  Rows
+        are written front to back in blocks of ``_BLOCK`` rows, which bound
+        the temporaries; the layout does not depend on the block size.
+
         A weight stands for the integral of 1/delta along the straight
         segment between the centers, which must lie in the domain: an edge
         must be shorter than the boundary distance at the center of its
@@ -255,18 +263,19 @@ class WhitneyDecomposition:
         """
         n = len(self)
         levels = self.levels
-        lv = levels.astype(np.int16)
-        # tgt[c][i]: the target of cube i at offset STENCIL[c], or -1;
-        # same[c][i]: that target is of cube i's level
-        faces = self._face_table
-        tgt = [np.where((f >= 0) & (levels - levels[f] <= 2), f, -1).astype(np.int32)
-               for f in faces]
-        same: list[np.ndarray] = []
-        nsame = np.zeros(n, dtype=np.int64)
+
+        def code(lv, t):
+            # targets t (or -1) of cubes of levels lv, coarser ones as -2 - t
+            return np.where(t < 0, -1, np.where(levels[t] == lv, t, -2 - t))
+
+        # tgt[c][i]: the target of cube i at offset STENCIL[c] when it has
+        # cube i's level, -2 - the target when it is coarser, -1 for none
+        tgt = [code(levels, np.where(levels - levels[f] <= 2, f, -1)).astype(np.int32)
+               for f in self._face_table]
+        nsame = np.zeros(n, dtype=np.int8)             # at most 16 a row
         col = {off: c for c, off in enumerate(STENCIL)}
         up = []
         for c, (dx, dy) in enumerate(STENCIL):
-            todo = np.zeros(0, dtype=np.int64)
             if c >= 4:
                 # offset = p + q with both already tabulated: where the target
                 # of p is a cube of the same level, the answer is that cube's
@@ -275,58 +284,62 @@ class WhitneyDecomposition:
                           for p, (px, py) in enumerate(STENCIL[:c])
                           if col.get((dx - px, dy - py), c) < c]
                 (p, q), rest = routes[0], routes[1:]
-                ok = same[p]
+                ok = tgt[p] >= 0
                 tgt.append(np.where(ok, tgt[q][np.where(ok, tgt[p], 0)], -1))
                 todo = np.flatnonzero(~ok)
                 for p, q in rest:
-                    ok = same[p][todo]
+                    ok = tgt[p][todo] >= 0
                     tgt[c][todo[ok]] = tgt[q][tgt[p][todo[ok]]]
                     todo = todo[~ok]
-            tgt[c][todo] = _locate(self.keys, levels[todo], self.ix[todo] + dx,
-                                   self.iy[todo] + dy, range(3))
+                # no route: the cell is mostly inside a cube one level up or
+                # split finer; at most one depth matches, so order is free
+                hit = _locate(self.keys, levels[todo], self.ix[todo] + dx,
+                              self.iy[todo] + dy, (1, 0, 2))
+                tgt[c][todo] = code(levels[todo], hit)
             t = tgt[c]
-            found = t >= 0
-            same.append(found & (lv[t] == lv))
-            nsame += same[c]
-            i = np.flatnonzero(found ^ same[c])
-            up.append(i * n + t[i])
+            nsame += t >= 0
+            i = np.flatnonzero(t < -1)
+            up.append(i * n - 2 - t[i])
 
         # a same-level target is mutual (offset and opposite offset) and
-        # distinct within a row, so it is stored from the positive offset
-        # for both cubes; a coarser target is found from the finer cube only,
-        # possibly through several offsets, so those pairs are made unique
-        # and stored both ways after the same-level entries
-        positive = [c for c, (dx, dy) in enumerate(STENCIL)
-                    if dx > 0 or (dx == 0 and dy > 0)]
-        tgt = {c: tgt[c] for c in positive}
-        same = {c: same[c] for c in positive}
+        # distinct within a row; a coarser target is found from the finer
+        # cube only, possibly through several offsets, so those pairs are
+        # made unique and stored both ways after the same-level entries
         up = _unique(np.concatenate(up))
-        fine, coarse = up // n, up % n
+        fine, coarse = (up // n).astype(np.int32), (up % n).astype(np.int32)
         del up
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(nsame + np.bincount(fine, minlength=n)
                   + np.bincount(coarse, minlength=n), out=indptr[1:])
-        del nsame
         indices = np.empty(int(indptr[-1]), dtype=np.int32)
         weights = np.empty(int(indptr[-1]))
-        fill = indptr[:-1].copy()
-        # row blocks bound the temporaries on large decompositions
-        for c in positive:
-            h = math.hypot(*STENCIL[c])
-            mask, col_c = same.pop(c), tgt.pop(c)
-            for lo in range(0, n, _BLOCK):
-                i = lo + np.flatnonzero(mask[lo:lo + _BLOCK])
-                j = col_c[i].astype(np.int64)
-                # centers of one level differ by exactly side * (dx, dy)
-                d = self.side[i] * h
-                di, dj = self.delta_center[i], self.delta_center[j]
+        # the same-level slots of a row: each positive offset, then its
+        # opposite; centers of one level differ by exactly side * (dx, dy)
+        slots = [c for dx, dy in STENCIL if dx > 0 or (dx == 0 and dy > 0)
+                 for c in (col[(dx, dy)], col[(-dx, -dy)])]
+        h = np.array([math.hypot(*STENCIL[c]) for c in slots])
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            table = np.stack([tgt[c][lo:hi] for c in slots], axis=1)
+            f = np.flatnonzero(table >= 0)
+            row, j = f >> 4, table.take(f)                  # 16 slots a row
+            side, delta = self.side[lo:hi], self.delta_center[lo:hi]
+            d = side.take(row) * h.take(f & 15)
+            di, dj = delta.take(row), self.delta_center.take(j)
+            # no edge of a row is longer than side * max(h), so only rows
+            # where that reaches the row's own delta can break the bound
+            if np.any(side * h.max() >= delta):
                 _check_reach(d, np.maximum(di, dj))
-                wt = d * 2.0 / (di + dj)
-                for r, other in ((i, j), (j, i)):
-                    pos = fill[r]
-                    indices[pos] = other
-                    weights[pos] = wt
-                    fill[r] = pos + 1
+            # the k-th entry of the block goes k places past the block's
+            # first same-level entry, plus the cross-level entries of the
+            # rows before its own
+            k = nsame[lo:hi]
+            pos = np.arange(len(f)) + (indptr[lo:hi] - np.cumsum(k) + k).take(row)
+            indices[pos] = j
+            weights[pos] = d * 2.0 / (di + dj)
+        del tgt
+        fill = indptr[:-1] + nsame
+        del nsame
         d = self._lengths(fine, coarse)
         _check_reach(d, self.delta_center[coarse])
         wt = self._weights(fine, coarse, d)
@@ -459,6 +472,9 @@ def whitney_decompose(domain: Domain, min_level_cutoff: int) -> WhitneyDecomposi
         gx = np.arange(math.floor(x0 / side0), math.floor(x1 / side0) + 1, dtype=np.int64)
         gy = np.arange(math.floor(y0 / side0), math.floor(y1 / side0) + 1, dtype=np.int64)
     ix, iy = (g.ravel() for g in np.meshgrid(gx, gy, indexing="ij"))
+    # cells known to lie inside: the children of a split cell at positive
+    # distance, whose box misses the boundary around an inside center
+    known = np.zeros(len(ix), dtype=bool)
 
     accepted = []  # (levels, ix, iy, dist) of each level's accepted cubes
     while len(ix) and level <= min_level_cutoff:
@@ -467,13 +483,16 @@ def whitney_decompose(domain: Domain, min_level_cutoff: int) -> WhitneyDecomposi
         cy = (iy + 0.5) * s
         dist = domain.cube_boundary_distance_capped(
             cx, cy, np.full(len(ix), s / 2.0), 8.0 * s)
-        inside = domain.contains(np.column_stack([cx, cy]))
+        inside = known.copy()
+        ask = np.flatnonzero(~known)
+        inside[ask] = domain.contains(np.column_stack([cx[ask], cy[ask]]))
         accept = inside & (dist >= s * SQRT2)
         discard = (~inside) & (dist > 0.0)
         if np.any(accept):
             accepted.append((np.full(int(accept.sum()), level, dtype=np.int64),
                              ix[accept], iy[accept], dist[accept]))
         split = ~(accept | discard)
+        known = np.repeat(dist[split] > 0.0, 4)
         ix, iy = _split_cells(ix[split], iy[split])
         level += 1
 
@@ -512,15 +531,18 @@ def _face_neighbours(keys: np.ndarray, levels: np.ndarray, ix: np.ndarray,
     ``keys`` must be the sorted packed keys of (levels, ix, iy).  A
     same-level match in a positive direction gives the opposite
     direction's match of the other cube, so negative directions start one
-    level up.
+    level up.  The same-level cell above a cube has the next key, so the
+    next cube is that neighbour exactly when it holds that key.
     """
     n = len(keys)
     out = np.full((4, n), -1, dtype=np.int32)
     ids = np.arange(n, dtype=np.int64)
+    below = np.flatnonzero(keys[1:] == keys[:-1] + 1)
+    out[1, below] = below + 1
     for d, (dx, dy) in enumerate(FACE_DIRS):
         todo = ids[out[d] < 0]
         out[d, todo] = _locate(keys, levels[todo], ix[todo] + dx, iy[todo] + dy,
-                               range(0 if d < 2 else 1, max_diff + 1))
+                               range(0 if d == 0 else 1, max_diff + 1))
         if d < 2:
             j = out[d]
             same = (j >= 0) & (levels[j] == levels)
@@ -578,18 +600,21 @@ def _unique(x: np.ndarray) -> np.ndarray:
 
 
 #: rows per block in the blocked loops of :meth:`WhitneyDecomposition.stencil_graph`
-_BLOCK = 1 << 18
+_BLOCK = 1 << 12
 
 
 def _append_rows(fill: np.ndarray, indices: np.ndarray, weights: np.ndarray,
                  rows: np.ndarray, cols: np.ndarray, wts: np.ndarray) -> None:
     """Store CSR entries with sorted ``rows`` at the rows' fill pointers."""
+    count = np.bincount(rows, minlength=len(fill))
+    # entry k goes to its row's fill pointer plus k less the row's first entry
+    shift = fill - np.cumsum(count) + count
     for lo in range(0, len(rows), _BLOCK):
         r = rows[lo:lo + _BLOCK]
-        pos = fill[r] + lo + np.arange(len(r)) - np.searchsorted(rows, r)
+        pos = shift.take(r) + np.arange(lo, lo + len(r))
         indices[pos] = cols[lo:lo + _BLOCK]
         weights[pos] = wts[lo:lo + _BLOCK]
-    fill += np.bincount(rows, minlength=len(fill))
+    fill += count
 
 
 def _check_reach(length: np.ndarray, reach: np.ndarray) -> None:

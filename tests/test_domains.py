@@ -5,7 +5,8 @@ from detourkit import domains, geometry
 from detourkit.domains import (EDGE_GRID_CELLS, PolygonDomain, _box_segment_distance,
                                comb_domain, equilateral_triangle_domain)
 from detourkit.errors import OracleError
-from detourkit.geometry import polygon_boundary_distance, segment_distance
+from detourkit.geometry import (points_in_polygon, polygon_boundary_distance,
+                                segment_distance)
 from detourkit.whitney import WhitneyDecomposition, refine_for_qh, whitney_decompose
 
 
@@ -316,3 +317,62 @@ class TestCappedPrune:
         assert bits(got) == bits(reference_capped(domain, b[:, 0], b[:, 1], half, 8.0 * half))
         assert domain.cube_boundary_distance_capped(np.zeros(0), np.zeros(0), np.zeros(0),
                                                     0.1).shape == (0,)
+
+
+def u_shape():
+    # concave, with horizontal edges at every vertex ordinate
+    return PolygonDomain(np.array([[0.0, 0.0], [3.0, 0.0], [3.0, 2.0], [2.0, 2.0],
+                                   [2.0, 1.0], [1.0, 1.0], [1.0, 2.0], [0.0, 2.0]]),
+                         name="U")
+
+
+class TestStripContains:
+    """The strip-pruned containment test against every edge, bit for bit."""
+
+    @pytest.mark.parametrize("make", [comb_domain, equilateral_triangle_domain, u_shape])
+    def test_matches_all_edges(self, make):
+        domain = make()
+        v = domain.vertices
+        w = np.roll(v, -1, axis=0)
+        x0, y0, x1, y1 = domain.bbox()
+        xm, ym = (x0 + x1) / 2.0, (y0 + y1) / 2.0
+        rng = np.random.default_rng(21)
+        t = rng.uniform(0.0, 1.0, (64, 1, 1))
+        along = (v + t * (w - v)).reshape(-1, 2)    # on every edge, axis-parallel ones too
+        rows = np.column_stack([rng.uniform(x0 - 0.1, x1 + 0.1, 4000),
+                                rng.choice(v[:, 1], 4000)])
+        seeded = rng.uniform([x0 - 0.2, y0 - 0.2], [x1 + 0.2, y1 + 0.2], (5000, 2))
+        outside = np.array([[x0 - 1.0, ym], [x1 + 1.0, ym], [xm, y0 - 1.0], [xm, y1 + 1.0],
+                            [np.nextafter(x0, -np.inf), ym], [xm, np.nextafter(y1, np.inf)],
+                            [1e300, ym], [-np.inf, ym], [xm, np.inf]])
+        nan = np.array([[np.nan, ym], [xm, np.nan], [np.nan, np.nan]])
+        pts = np.concatenate([v, (v + w) / 2.0, along, rows, seeded, outside, nan])
+        got = domain.contains(pts)
+        assert got.dtype == bool and got.shape == (len(pts),)
+        assert bits(got) == bits(points_in_polygon(pts, v))
+        assert got.any() and not got.all()
+        assert not domain.contains(nan).any()
+        assert domain.contains(np.zeros((0, 2))).shape == (0,)
+
+    def test_strips_prune(self):
+        ys, indptr, indices = comb_domain()._strips
+        count = np.diff(indptr)
+        assert len(count) == len(ys) - 1 and count.min() >= 2
+        assert count.mean() < len(comb_domain().vertices) / 4
+
+
+class TestGroupPrune:
+    @pytest.mark.parametrize("make", [comb_domain, equilateral_triangle_domain])
+    def test_shuffled_mixed_levels_match_uncapped(self, make):
+        # shuffled cubes put far-apart cubes in one group, so most groups pass
+        w = refine_for_qh(whitney_decompose(make(), 8))
+        rng = np.random.default_rng(23)
+        pick = rng.permutation(len(w))[:6000]
+        assert len(np.unique(w.levels[pick])) > 3
+        cx, cy = w.centers[pick, 0], w.centers[pick, 1]
+        half = w.side[pick] / 2.0
+        exact = w.domain.cube_boundary_distance(cx, cy, half)
+        for cap in (0.01, 8.0 * w.side[pick], rng.uniform(0.0, 0.05, len(pick))):
+            got = w.domain.cube_boundary_distance_capped(cx, cy, half, cap)
+            assert bits(got) == bits(np.minimum(exact, cap))
+            assert (got < cap).any() and (got == cap).any()

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 from fractions import Fraction
@@ -5,7 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from detourkit.domains import DiskDomain, PolygonDomain, comb_domain
+from detourkit import whitney
+from detourkit.domains import (DiskDomain, PolygonDomain, comb_domain,
+                               equilateral_triangle_domain)
 from detourkit.errors import (GraphInvariantError, OracleError,
                               ResourceLimitError, UncoveredPointError)
 from detourkit.whitney import (CORNER_UPPER, WhitneyDecomposition, _pack,
@@ -82,6 +85,62 @@ class TestSelection:
 
         with pytest.raises(OracleError):
             whitney_decompose(BrokenDisk(), 5)
+
+
+def sweep_testing_every_cell(domain, cutoff):
+    """The Whitney sweep with a containment test on every cell, in
+    canonical (level, ix, iy) order."""
+    x0, y0, x1, y1 = domain.bbox()
+    level = math.floor(-math.log2(max(x1 - x0, y1 - y0)))
+    s = 2.0 ** -level
+    gx = np.arange(math.floor(x0 / s), math.floor(x1 / s) + 1)
+    gy = np.arange(math.floor(y0 / s), math.floor(y1 / s) + 1)
+    ix, iy = (g.ravel() for g in np.meshgrid(gx, gy, indexing="ij"))
+    found = []
+    while len(ix) and level <= cutoff:
+        s = 2.0 ** -level
+        cx, cy = (ix + 0.5) * s, (iy + 0.5) * s
+        dist = domain.cube_boundary_distance_capped(cx, cy, np.full(len(ix), s / 2.0),
+                                                    8.0 * s)
+        inside = domain.contains(np.column_stack([cx, cy]))
+        accept = inside & (dist >= s * SQRT2)
+        split = ~accept & (inside | (dist <= 0.0))
+        found.append((np.full(int(accept.sum()), level), ix[accept], iy[accept],
+                      dist[accept]))
+        ix = (2 * ix[split][:, None] + [0, 1, 0, 1]).ravel()
+        iy = (2 * iy[split][:, None] + [0, 0, 1, 1]).ravel()
+        level += 1
+    levels, ix, iy, dist = (np.concatenate(a) for a in zip(*found))
+    order = np.lexsort((iy, ix, levels))
+    return levels[order], ix[order], iy[order], dist[order]
+
+
+class TestSkippedContainment:
+    @pytest.mark.filterwarnings("ignore:no cube accepted")
+    @pytest.mark.parametrize("cutoff", range(4, 10))
+    @pytest.mark.parametrize("make", [comb_domain, equilateral_triangle_domain,
+                                      DiskDomain])
+    def test_matches_sweep_testing_every_cell(self, make, cutoff):
+        domain = make()
+        w = whitney_decompose(domain, cutoff)
+        want = sweep_testing_every_cell(domain, cutoff)
+        for got, ref in zip((w.levels, w.ix, w.iy, w.dist), want):
+            assert got.tobytes() == ref.astype(got.dtype).tobytes()
+
+    def test_asks_fewer_cells(self, monkeypatch):
+        asked = []
+        original = PolygonDomain.contains
+
+        def count(self, pts):
+            asked.append(len(pts))
+            return original(self, pts)
+
+        monkeypatch.setattr(PolygonDomain, "contains", count)
+        whitney_decompose(comb_domain(), 9)
+        ours = sum(asked)
+        asked.clear()
+        sweep_testing_every_cell(comb_domain(), 9)
+        assert ours < 0.7 * sum(asked)
 
 
 class TestDisjointnessAndCoverage:
@@ -298,6 +357,29 @@ class TestStencilGraph:
         edges, face_wts = w.adjacency_edges()
         for (a, b), wt in zip(edges, face_wts):
             assert stencil[int(a) * n + int(b)] == pytest.approx(wt, rel=1e-15)
+
+    def test_row_layout_independent_of_block(self, comb_refined, monkeypatch):
+        whole = comb_refined.stencil_graph()
+        monkeypatch.setattr(whitney, "_BLOCK", 1 << 10)
+        assert len(comb_refined) > 4 << 10
+        blocked = comb_refined.stencil_graph()
+        for a, b in zip(whole, blocked):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("make, digest", [
+        (comb_domain, "01990fbd98ee5a752d8b5fdfd2d141d880ac4efab958dd4180cf5ab578fefa7a"),
+        (equilateral_triangle_domain,
+         "5670706770c4d1daff07031c6c72b9e5215cbb376786c37b7ed316a1ff9d81ce"),
+        (DiskDomain, "f5a7d2cad7e0fe4a86b2c611a075ab94fddcbe75f6d8cc50a396764d2b0cb9fc"),
+    ])
+    def test_csr_digest(self, make, digest):
+        # SHA-256 over the little-endian bytes of indptr (int64), indices
+        # (int32) and weights (float64) of the refined cutoff-8 graph: row
+        # order, columns and every weight bit
+        h = hashlib.sha256()
+        for a in refine_for_qh(whitney_decompose(make(), 8)).stencil_graph():
+            h.update(np.ascontiguousarray(a).astype(a.dtype.newbyteorder("<")).tobytes())
+        assert h.hexdigest() == digest
 
     def test_long_edge_rejected(self):
         # unrefined Whitney cubes may sit closer to the boundary than a
