@@ -4,8 +4,8 @@ The continuum metric (the infimum of arc length weighted by reciprocal
 boundary distance) is replaced by shortest paths on a graph over the cubes
 of a refined decomposition.  Each cube links to the cube containing the
 point one, sqrt(2) or sqrt(5) sides away in 16 directions (the faces, the
-diagonals and the knight moves), of its own level or up to 2 levels
-coarser (:meth:`WhitneyDecomposition.stencil_graph`).  An edge costs the
+diagonals and the knight moves), of its own level or one level coarser
+(:meth:`WhitneyDecomposition.stencil_graph`).  An edge costs the
 center distance times the reciprocal of the mean of the two center
 boundary distances, and a query point pays an entry leg from itself to its
 cube center.
@@ -135,7 +135,7 @@ class GeodesicSolver:
         indptr, indices, weights = w.stencil_graph()
         self.graph = csr_matrix((weights, indices, indptr), shape=(n, n))
         self._max_weight = float(self.graph.data.max(initial=0.0))
-        self._cache: dict[int, tuple[float, np.ndarray, np.ndarray | None]] = {}
+        self._cache: dict[int, tuple] = {}
 
     # --- infrastructure -----------------------------------------------------
 
@@ -145,23 +145,32 @@ class GeodesicSolver:
 
         ``limit`` prunes the search radius; entries beyond it come back as
         inf.  A cached run is reused only when its radius covers the request
-        and it holds predecessors if they are asked for.  Distance queries
-        skip the predecessors, which keeps the cache a third smaller, and
-        cache a bounded run that holds its whole graph component as
-        unbounded.  The cache is cleared when a new run would push it past
+        and it holds predecessors if they are asked for.  The distances come
+        back as a dense array, also when the cache holds the run as a ball
+        (:meth:`_settle`).
+        """
+        _, dist, pred = self._settle(src, limit, predecessors)
+        return _dense(dist, len(self.w)), pred
+
+    def _settle(self, src: int, limit: float, predecessors: bool) -> tuple:
+        """Cache entry ``(radius, distances, predecessors)`` of a run from ``src``.
+
+        A run without predecessors is stored as its ball: the sorted int32
+        ids of the cubes it settled and their float64 values, or the dense
+        array when that is no larger (past 2/3 of the cubes).  The cache is
+        cleared when a new entry would push the bytes it stores past
         ``DIJKSTRA_CACHE_BYTES``.
         """
         hit = self._cache.get(src)
         if hit is None or hit[0] < limit or (predecessors and hit[2] is None):
             out = _sp_dijkstra(self.graph, indices=src,
                                return_predecessors=predecessors, limit=limit)
-            dist, pred = out if predecessors else (out, None)
-            hit = (limit, dist, pred)
+            hit = (limit, *out) if predecessors else (limit, _ball_of(out), None)
             held = sum(_nbytes(e) for s, e in self._cache.items() if s != src)
             if held + _nbytes(hit) > DIJKSTRA_CACHE_BYTES:
                 self._cache.clear()
             self._cache[src] = hit
-        return hit[1], hit[2]
+        return hit
 
     def leg(self, point, cube: int) -> float:
         c = self.w.centers[cube]
@@ -206,7 +215,8 @@ class GeodesicSolver:
         A point on a shared cube boundary belongs to every adjacent closed
         cube; the distance minimizes over the admissible assignments.  A
         pair of one cube costs the straight leg; any other pair adds the
-        legs to ``dists[ca][cb]``.
+        legs to the value of ``cb`` in ``dists[ca]``, a dense run or a ball
+        (:meth:`_settle`).
         """
         best = None
         for ca in cas:
@@ -216,22 +226,22 @@ class GeodesicSolver:
                     v = math.hypot(pa[0] - pb[0], pa[1] - pb[1]) \
                         / self.w.delta_center[ca]
                 else:
-                    v = la + float(dists[ca][cb]) + self.leg(pb, cb)
+                    v = la + _value_at(dists[ca], cb) + self.leg(pb, cb)
                 if best is None or v < best[2]:
                     best = (ca, cb, v)
         return best
 
-    def _ball(self, src: int, radius: float) -> tuple[float, np.ndarray]:
+    def _ball(self, src: int, radius: float) -> tuple[float, object]:
         """Distance-only run from ``src`` over at least ``radius``.
 
         Returns the radius the run covers (a cached run may cover more) and
-        its distances.
+        its distances as the cache holds them (:meth:`_settle`).
         """
-        dist, _ = self.run_dijkstra(src, radius, predecessors=False)
-        return self._cache[src][0], dist
+        radius, dist, _ = self._settle(src, radius, False)
+        return radius, dist
 
-    def _grow(self, src: int, radius: float, dist: np.ndarray,
-              value: float) -> tuple[float, np.ndarray]:
+    def _grow(self, src: int, radius: float, dist,
+              value: float) -> tuple[float, object]:
         """Next run from ``src`` after its run to ``radius`` left ``value`` undecided.
 
         The ball grows to where it would hold four times its cubes if it
@@ -246,14 +256,14 @@ class GeodesicSolver:
         answers inf beyond.  Without one, a run that reached 1/16 of the
         cubes is followed by a run over the whole graph.
         """
-        reached = dist[dist < math.inf]
+        reached = dist[1] if isinstance(dist, tuple) else dist[dist < math.inf]
         if math.isinf(value):
             if radius >= reached.max() + self._max_weight:
                 hit = self._cache.get(src)
                 if hit is not None and hit[1] is dist:
                     self._cache[src] = (math.inf, dist, hit[2])
                 return math.inf, dist
-            if 16 * len(reached) >= len(dist):
+            if 16 * len(reached) >= len(self.w):
                 return self._ball(src, math.inf)
         rate = math.log2(len(reached) / np.count_nonzero(reached <= radius / 2.0))
         step = radius / rate if rate > 0.0 else math.inf
@@ -498,9 +508,41 @@ def _reason_counts(reason: np.ndarray) -> list[int]:
     return [int(c) for c in np.bincount(reason, minlength=3)]
 
 
+def _ball_of(dist: np.ndarray):
+    """A distance-only run as the cache stores it.
+
+    The sorted int32 ids and the values of the cubes it settled, 12 B a
+    cube, or ``dist`` itself, 8 B a cube, when that is no larger.
+    """
+    ids = np.flatnonzero(dist < math.inf)
+    if 3 * len(ids) >= 2 * len(dist):
+        return dist
+    return ids.astype(np.int32), dist[ids]
+
+
+def _value_at(dist, i: int) -> float:
+    """Value of cube ``i`` in a stored run, inf where the run did not settle it."""
+    if not isinstance(dist, tuple):
+        return float(dist[i])
+    ids, vals = dist
+    # an int32 key: an int64 one would cast all of ``ids`` for the search
+    k = int(ids.searchsorted(np.int32(i)))
+    return float(vals[k]) if k < len(ids) and ids[k] == i else math.inf
+
+
+def _dense(dist, n: int) -> np.ndarray:
+    """A stored run as an array over all ``n`` cubes, inf where it did not settle."""
+    if not isinstance(dist, tuple):
+        return dist
+    out = np.full(n, math.inf)
+    out[dist[0]] = dist[1]
+    return out
+
+
 def _nbytes(entry) -> int:
     _, dist, pred = entry
-    return dist.nbytes + (0 if pred is None else pred.nbytes)
+    held = dist if isinstance(dist, tuple) else (dist,)
+    return sum(a.nbytes for a in held) + (0 if pred is None else pred.nbytes)
 
 
 def solver_for(w: WhitneyDecomposition) -> GeodesicSolver:

@@ -175,7 +175,9 @@ class WhitneyDecomposition:
         The candidates are the 32 cubes with the nearest centers; a point
         takes the closest of them, and between distances within 1e-15 of
         each other the smaller cube, scanning the candidates by center
-        distance.
+        distance.  An exact tie (equal sides, distances within 1e-15 and
+        equal center distances) goes to the candidate ``cKDTree.query``
+        lists first; ``test_nearest_cubes_match_scan`` pins that order.
         """
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
         _, idx = self._kdtree.query(pts, k=min(32, len(self)))
@@ -243,6 +245,15 @@ class WhitneyDecomposition:
         Face offsets come from the face-neighbour table; a longer offset
         steps from the same-level cube of a shorter one where there is such
         a cube, and probes the packed keys otherwise.
+
+        On a refined decomposition (:func:`refine_for_qh`) every target is
+        at most one level coarser; the 2-level probes serve unrefined ones.
+        In the notation of that function's docstring, with s = side_i, the
+        point lies within (sqrt(5) + sqrt(2) / 2) s < 2.95 s of every point
+        of cube i, so the cube containing it, of side S and boundary
+        distance d', has d' < d + 2.95 s < 2 sqrt(2) s (1 + q) / q + 2.95 s.
+        Then sqrt(2) S <= q d' gives S < (2 + 4.1 q) s <= 3.4 s, and dyadic
+        sides give S <= 2 s.
 
         Row i lists its same-level targets first, in slot order: for each
         positive offset of :data:`STENCIL` (dx > 0, or dx = 0 < dy) its

@@ -313,6 +313,52 @@ class TestDijkstraCache:
         assert np.array_equal(s.run_dijkstra(0)[0], d0)
         assert list(s._cache) == [0]
 
+    @pytest.mark.parametrize("scene", ["disk", "comb10"])
+    def test_distance_entries_hold_their_balls(self, request, scene):
+        # a distance-only entry holds the cubes an unbounded run puts within
+        # its radius, with the same bits: sorted int32 ids and their values
+        # (12 B a cube) or the dense array (8 B a cube), whichever is smaller
+        w = request.getfixturevalue(scene)
+        n = len(w)
+        rng = np.random.default_rng(23)
+        pts = _seeded_points(w, rng, 12)
+        s = qhyp.GeodesicSolver(w)
+        for k in rng.choice(len(pts), (40, 2)):
+            s.distance(pts[k[0]], pts[k[1]])
+        balls = 0
+        for src, (radius, dist, pred) in s._cache.items():
+            assert pred is None
+            ref = dijkstra(s.graph, indices=src)
+            within = np.flatnonzero(np.isfinite(ref) & (ref <= radius))
+            if isinstance(dist, tuple):
+                balls += 1
+                ids, vals = dist
+                assert 12 * len(within) < 8 * n
+                assert ids.dtype == np.int32 and ids.tolist() == within.tolist()
+                assert vals.tobytes() == ref[within].tobytes()
+            else:
+                assert 12 * len(within) >= 8 * n
+                want = np.full(n, np.inf)
+                want[within] = ref[within]
+                assert dist.tobytes() == want.tobytes()
+        assert balls > 0
+
+    def test_byte_bound_evicts_balls(self, disk, monkeypatch):
+        last = len(disk) - 1
+        ref = qhyp.GeodesicSolver(disk)
+        r0, b0 = ref._ball(0, 1.0)
+        r1, b1 = ref._ball(last, 1.0)
+        assert isinstance(b0, tuple) and isinstance(b1, tuple)
+        size = [sum(a.nbytes for a in b) for b in (b0, b1)]
+        assert size[0] + size[1] < ref.graph.shape[0] * 8
+        monkeypatch.setattr(qhyp, "DIJKSTRA_CACHE_BYTES", max(size) + 1)
+        s = qhyp.GeodesicSolver(disk)
+        for src, want in ((0, b0), (last, b1), (0, b0)):
+            radius, got = s._ball(src, 1.0)
+            assert radius == 1.0
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+            assert list(s._cache) == [src]
+
 
 # --- batched boundary chains against the per-sample loop they replace ---------
 

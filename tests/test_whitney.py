@@ -381,6 +381,21 @@ class TestStencilGraph:
             h.update(np.ascontiguousarray(a).astype(a.dtype.newbyteorder("<")).tobytes())
         assert h.hexdigest() == digest
 
+    @pytest.mark.parametrize("make", [comb_domain, DiskDomain,
+                                      equilateral_triangle_domain])
+    def test_refined_entries_one_level_apart_and_symmetric(self, make):
+        # on a refined decomposition every target is at most one level
+        # coarser (the bound stencil_graph's docstring proves), and the
+        # matrix equals its transpose, weight bits included
+        w = refine_for_qh(whitney_decompose(make(), 8))
+        rows, cols, wts = _stencil_pairs(w)
+        assert np.abs(w.levels[rows] - w.levels[cols]).max() <= 1
+        n = len(w)
+        fwd, back = rows * n + cols, cols * n + rows
+        a, b = np.argsort(fwd), np.argsort(back)
+        assert np.array_equal(fwd[a], back[b])
+        assert wts[a].tobytes() == wts[b].tobytes()
+
     def test_long_edge_rejected(self):
         # unrefined Whitney cubes may sit closer to the boundary than a
         # knight offset: the straight segment would leave the domain
