@@ -270,11 +270,10 @@ def _detour_svg(path: detour.DetourPath, scene: detour.FractalScene) -> str:
         off = np.array([nx, ny]) * path.epsilon * s
         parts.append(polyline(base + off, "#bbbbbb", 1, dash="4 3"))
     parts.append(polyline(base, "#555555", 1))
+    # only gasket and carpet scenes have paths: their components are polygons
     for k in sorted(path.touched):
-        comp = scene.component(k)
-        if hasattr(comp.shape, "vertices"):
-            pts = list(comp.shape.vertices) + [comp.shape.vertices[0]]
-            parts.append(polyline(pts, "#3366cc", 1))
+        v = scene.holes.vertices[k - 1] if k else scene.outer.shape.vertices
+        parts.append(polyline(np.vstack([v, v[:1]]), "#3366cc", 1))
     parts.append(polyline(path.polyline, "#cc2222", 2))
     parts.append("</svg>")
     return "\n".join(parts)

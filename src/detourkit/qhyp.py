@@ -134,23 +134,18 @@ class GeodesicSolver:
         n = len(w)
         indptr, indices, weights = w.stencil_graph()
         self.graph = csr_matrix((weights, indices, indptr), shape=(n, n))
-        self._max_weight = float(self.graph.data.max(initial=0.0))
         self._cache: dict[int, tuple] = {}
 
     # --- infrastructure -----------------------------------------------------
 
-    def run_dijkstra(self, src: int, limit: float = math.inf,
-                     predecessors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-        """Single-source distances and predecessors, cached per source.
+    def run_dijkstra(self, src: int) -> tuple[np.ndarray, np.ndarray]:
+        """Unbounded single-source distances and predecessors, cached per source.
 
-        ``limit`` prunes the search radius; entries beyond it come back as
-        inf.  A cached run is reused only when its radius covers the request
-        and it holds predecessors if they are asked for.  The distances come
-        back as a dense array, also when the cache holds the run as a ball
-        (:meth:`_settle`).
+        Both come back as dense arrays; cubes the graph does not reach from
+        ``src`` are at inf.
         """
-        _, dist, pred = self._settle(src, limit, predecessors)
-        return _dense(dist, len(self.w)), pred
+        _, dist, pred = self._settle(src, math.inf, True)
+        return dist, pred
 
     def _settle(self, src: int, limit: float, predecessors: bool) -> tuple:
         """Cache entry ``(radius, distances, predecessors)`` of a run from ``src``.
@@ -196,18 +191,6 @@ class GeodesicSolver:
             self.w.find_cube(p)  # raises UncoveredPointError with diagnostics
         return cubes
 
-    def _best_pair(self, pa, pb, limit: float = math.inf,
-                   predecessors: bool = False) -> tuple[int, int, float]:
-        """Cheapest (source cube, target cube) pair for two query points.
-
-        Every source cube gets one run to radius ``limit``; a pair beyond
-        it costs inf.
-        """
-        cas = self._endpoint_cubes(pa)
-        cbs = self._endpoint_cubes(pb)
-        dists = {ca: self.run_dijkstra(ca, limit, predecessors)[0] for ca in cas}
-        return self._cheapest(pa, pb, cas, cbs, dists)
-
     def _cheapest(self, pa, pb, cas: list[int], cbs: list[int],
                   dists: dict) -> tuple[int, int, float]:
         """Cheapest pair over the cubes ``cas`` of ``pa`` and ``cbs`` of ``pb``.
@@ -249,22 +232,14 @@ class GeodesicSolver:
         grows geometrically whether balls grow fast (toward a smooth
         boundary) or slowly (along corridors).  A finite best total is an
         upper bound and caps the radius, since a run to it decides.
-        Without one, a run holds its whole graph component when its radius
-        passes its largest distance by the largest edge weight (every
-        relaxation out of a reached cube then stayed within the radius, as
-        rounded addition is monotone); it is cached as unbounded and
-        answers inf beyond.  Without one, a run that reached 1/16 of the
-        cubes is followed by a run over the whole graph.
+        Without one, a run that reached 1/16 of the cubes is followed by a
+        run over the whole graph.  A smaller ball grows until half its
+        radius holds its whole graph component; then the growth rate is 0
+        and the next run is unbounded, so every query stops.
         """
         reached = dist[1] if isinstance(dist, tuple) else dist[dist < math.inf]
-        if math.isinf(value):
-            if radius >= reached.max() + self._max_weight:
-                hit = self._cache.get(src)
-                if hit is not None and hit[1] is dist:
-                    self._cache[src] = (math.inf, dist, hit[2])
-                return math.inf, dist
-            if 16 * len(reached) >= len(self.w):
-                return self._ball(src, math.inf)
+        if math.isinf(value) and 16 * len(reached) >= len(self.w):
+            return self._ball(src, math.inf)
         rate = math.log2(len(reached) / np.count_nonzero(reached <= radius / 2.0))
         step = radius / rate if rate > 0.0 else math.inf
         return self._ball(src, min(radius + step, value))
@@ -282,8 +257,10 @@ class GeodesicSolver:
         cached run is read at the radius it holds.  A best total no larger
         than the smallest radius read is exact, because a pair beyond a
         run's radius costs more than that radius.  Otherwise the short runs
-        grow (:meth:`_grow`).  Every value equals the unbounded search's bit
-        for bit, whatever ``limit`` and the cache.
+        grow (:meth:`_grow`); a search with no finite total ends with an
+        unbounded run, so a target in another graph component costs inf.
+        Every value equals the unbounded search's bit for bit, whatever
+        ``limit`` and the cache.
         """
         pa = (float(a[0]), float(a[1]))
         pb = (float(b[0]), float(b[1]))
@@ -309,14 +286,14 @@ class GeodesicSolver:
     def geodesic(self, a, b) -> Geodesic:
         pa = (float(a[0]), float(a[1]))
         pb = (float(b[0]), float(b[1]))
-        ca, cb, value = self._best_pair(pa, pb, predecessors=True)
+        cas = self._endpoint_cubes(pa)
+        dists = {ca: self.run_dijkstra(ca)[0] for ca in cas}
+        ca, cb, value = self._cheapest(pa, pb, cas, self._endpoint_cubes(pb), dists)
         if ca == cb:
             return Geodesic(np.array([ca]), np.array([pa, pb]), np.zeros(1), value)
         chain = self.chain(ca, cb)
-        dist, _ = self.run_dijkstra(ca)
-        prefix = dist[chain]
         poly = np.vstack([[pa], self.w.centers[chain], [pb]])
-        return Geodesic(chain, poly, prefix, value)
+        return Geodesic(chain, poly, dists[ca][chain], value)
 
     def to_boundary(self, x0, b) -> Geodesic:
         """Chain from the cube of ``x0`` to the deepest accepted cube at ``b``.
@@ -528,15 +505,6 @@ def _value_at(dist, i: int) -> float:
     # an int32 key: an int64 one would cast all of ``ids`` for the search
     k = int(ids.searchsorted(np.int32(i)))
     return float(vals[k]) if k < len(ids) and ids[k] == i else math.inf
-
-
-def _dense(dist, n: int) -> np.ndarray:
-    """A stored run as an array over all ``n`` cubes, inf where it did not settle."""
-    if not isinstance(dist, tuple):
-        return dist
-    out = np.full(n, math.inf)
-    out[dist[0]] = dist[1]
-    return out
 
 
 def _nbytes(entry) -> int:

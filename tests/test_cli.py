@@ -134,6 +134,8 @@ class TestGoldenArtifacts:
             "bc1d203af3c4ebd27bf88de598075a6bc49bd5f4c1d7e87a36eba2c3c72fa6ff",
         "certificate_measure-zero.json":
             "fcc41aabae41ace2ccd8469906c765253431aa5584ffc974c0b1f8204d8d5cb9",
+        "detour.svg":
+            "1709a3b7a3dcf2c0d20debe37020c56fc51e44388751eccc60d4f55d1d34c42b",
     }
 
     # the failed lines of this carpet run list their violations in the

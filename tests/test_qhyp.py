@@ -6,7 +6,8 @@ from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
 from detourkit import qhyp
-from detourkit.domains import DiskDomain, comb_domain, equilateral_triangle_domain
+from detourkit.domains import (DiskDomain, PolygonDomain, comb_domain,
+                               equilateral_triangle_domain)
 from detourkit.errors import ResolutionError, UncoveredPointError
 from detourkit.whitney import refine_for_qh, whitney_decompose
 
@@ -86,11 +87,10 @@ class TestDistance:
             d = solver.distance((0.0, 0.0), (r / math.sqrt(2.0), r / math.sqrt(2.0)))
             assert abs(d / true - 1.0) <= 0.07, (r, d, true)
 
-    def test_too_small_limit_reruns_unbounded(self):
+    def test_tiny_limit_matches_unbounded(self):
         w = refine_for_qh(whitney_decompose(DiskDomain(), 8))
         a, b = (0.1, 0.2), (0.7, -0.3)
         # the bounded search does not reach b's cube
-        assert qhyp.GeodesicSolver(w)._best_pair(a, b, 1e-3)[2] == math.inf
         bounded = qhyp.GeodesicSolver(w).distance(a, b, limit=1e-3)
         assert bounded == qhyp.GeodesicSolver(w).distance(a, b)
         assert bounded == pytest.approx(1.6077, abs=1e-4)
@@ -531,6 +531,13 @@ def disk8():
     return refine_for_qh(whitney_decompose(DiskDomain(), 8))
 
 
+# a square room and, through a neck too thin for an accepted cube, a small
+# side room: at cutoff 9 the graph has components of 790 and 54,796 cubes
+_DUMBBELL = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.50005),
+             (-0.3, 0.50005), (-0.3, 0.52), (-0.34, 0.52), (-0.34, 0.48),
+             (-0.3, 0.48), (-0.3, 0.49995), (0.0, 0.49995)]
+
+
 class TestBoundedSearch:
     # b is a corner shared by cubes of different levels: a bounded search
     # that reaches only the dearer cube pair once returned its total
@@ -571,3 +578,46 @@ class TestBoundedSearch:
         if scene == "comb10":
             # the comb's rooms are separate graph components
             assert 0 < sum(math.isinf(v) for v in want) < len(want)
+
+    # the corner pairs of test_limit_never_changes_the_value
+    @pytest.mark.parametrize("a, b", [((0.05, 0.02), (0.9599609375, 0.244140625)),
+                                      ((-0.33, -0.03), (-0.91796875, 0.2890625))])
+    def test_geodesic_takes_the_cheapest_pair(self, disk8, a, b):
+        s = qhyp.GeodesicSolver(disk8)
+        # distance runs from the first point in canonical order, and so
+        # adds the same numbers in the same order as a geodesic from there
+        a, b = sorted([a, b])
+        g = s.geodesic(a, b)
+        assert g.value == s.distance(b, a)
+        # the first strictly cheapest pair in the order find_cubes lists them
+        totals = {}
+        for ca in disk8.find_cubes(a):
+            d = dijkstra(s.graph, indices=ca)
+            for cb in disk8.find_cubes(b):
+                totals[ca, cb] = _ref_leg(disk8, a, ca) + float(d[cb]) \
+                    + _ref_leg(disk8, b, cb)
+        ca, cb = min(totals, key=totals.get)
+        assert (g.cubes[0], g.cubes[-1]) == (ca, cb)
+        assert g.value == totals[ca, cb]
+
+    def test_small_component_stops(self, monkeypatch):
+        w = refine_for_qh(whitney_decompose(PolygonDomain(np.array(_DUMBBELL)), 9))
+        s = qhyp.GeodesicSolver(w)
+        # the side room holds less than 1/16 of the cubes, so its balls never
+        # jump to an unbounded run for their size
+        src = w.find_cubes((-0.321, 0.503))
+        side = np.isfinite(dijkstra(s.graph, indices=src[0]))
+        assert 16 * np.count_nonzero(side) < len(w)
+        runs = []
+
+        def spy(*args, **kwargs):
+            runs.append(kwargs)
+            return dijkstra(*args, **kwargs)
+
+        monkeypatch.setattr(qhyp, "_sp_dijkstra", spy)
+        a, b = (-0.321, 0.503), (0.5, 0.37)
+        assert s.distance(a, b) == s.distance(b, a) == math.inf
+        assert len(runs) <= 2
+        assert [s._cache[c][0] for c in src] == [math.inf] * len(src)
+        c = (-0.31, 0.49)
+        assert s.distance(a, c) == min(t for t, _ in _ref_totals(s, {}, a, c))
