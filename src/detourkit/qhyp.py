@@ -5,10 +5,10 @@ boundary distance) is replaced by shortest paths on a graph over the cubes
 of a refined decomposition.  Each cube links to the cube containing the
 point one, sqrt(2) or sqrt(5) sides away in 16 directions (the faces, the
 diagonals and the knight moves), of its own level or one level coarser
-(:meth:`WhitneyDecomposition.stencil_graph`).  An edge costs the
-center distance times the reciprocal of the mean of the two center
-boundary distances, and a query point pays an entry leg from itself to its
-cube center.
+(:meth:`WhitneyDecomposition.stencil_graph`).  An edge costs the center
+distance over the mean of the two center boundary distances, and a query
+point pays an entry leg to its cube center.  A distance query grows two
+small balls until they meet, then finishes the forward sum between them.
 
 The graph length of a path depends on its direction.  A 4-neighbour face
 graph pays up to sqrt(2) times the continuum length toward diagonal
@@ -28,12 +28,14 @@ fit samples, what shadows record and what cube sums add up.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import TextIO
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
 from .errors import ResolutionError
@@ -47,6 +49,14 @@ __all__ = [
 #: byte budget of one solver's cached Dijkstra runs; a run that would push
 #: the cache past it clears the cache first
 DIJKSTRA_CACHE_BYTES = 1 << 29
+
+#: relative pad on a meeting bound d_a + d_b: the forward float sum of the
+#: same path differs from it by the rounding of fewer than 10^7 additions
+PATH_PAD = 1e-8
+
+#: cubes a distance query's finishing heap search expands before it runs the
+#: source forward to its bound instead
+FINISH_EXPANSIONS = 48
 
 #: what became of a boundary sample: it got a chain, it has no accepted cube
 #: nearby, or the graph does not reach its terminal cube
@@ -135,6 +145,8 @@ class GeodesicSolver:
         indptr, indices, weights = w.stencil_graph()
         self.graph = csr_matrix((weights, indices, indptr), shape=(n, n))
         self._cache: dict[int, tuple] = {}
+        self._max_weight = float(weights.max(initial=0.0))
+        self._labels = None  # graph component of each cube, once a query needs them
 
     # --- infrastructure -----------------------------------------------------
 
@@ -144,28 +156,34 @@ class GeodesicSolver:
         Both come back as dense arrays; cubes the graph does not reach from
         ``src`` are at inf.
         """
-        _, dist, pred = self._settle(src, math.inf, True)
-        return dist, pred
+        return self._settle([src], math.inf, True)[0][1:]
 
-    def _settle(self, src: int, limit: float, predecessors: bool) -> tuple:
-        """Cache entry ``(radius, distances, predecessors)`` of a run from ``src``.
+    def _settle(self, srcs: list[int], limit: float, predecessors: bool = False) -> list:
+        """Cache entries ``(radius, distances, predecessors)`` of runs from ``srcs``.
 
-        A run without predecessors is stored as its ball: the sorted int32
-        ids of the cubes it settled and their float64 values, or the dense
-        array when that is no larger (past 2/3 of the cubes).  The cache is
-        cleared when a new entry would push the bytes it stores past
-        ``DIJKSTRA_CACHE_BYTES``.
+        Sources whose entry does not cover ``limit`` share one scipy call,
+        which scans the graph's weights once for all.  A run without
+        predecessors is stored as its ball (:func:`_ball_of`).  An entry that
+        would push the cache past ``DIJKSTRA_CACHE_BYTES`` clears it first.
         """
-        hit = self._cache.get(src)
-        if hit is None or hit[0] < limit or (predecessors and hit[2] is None):
-            out = _sp_dijkstra(self.graph, indices=src,
+        got = {s: hit for s in srcs if (hit := self._cache.get(s)) is not None
+               and hit[0] >= limit and (hit[2] is not None or not predecessors)}
+        miss = [s for s in srcs if s not in got]
+        if miss and not predecessors:  # a ball that falls short at least doubles
+            limit = max([limit] + [2.0 * self._cache[s][0] for s in miss if s in self._cache])
+        if miss:
+            out = _sp_dijkstra(self.graph, indices=miss,
                                return_predecessors=predecessors, limit=limit)
-            hit = (limit, *out) if predecessors else (limit, _ball_of(out), None)
-            held = sum(_nbytes(e) for s, e in self._cache.items() if s != src)
-            if held + _nbytes(hit) > DIJKSTRA_CACHE_BYTES:
-                self._cache.clear()
-            self._cache[src] = hit
-        return hit
+            dists, preds = out if predecessors else (out, [None] * len(miss))
+            for s, dist, pred in zip(miss, dists, preds):
+                radius, dist = (limit, dist) if predecessors \
+                    else _ball_of(dist, limit, self._max_weight)
+                got[s] = (radius, dist, pred)
+                held = sum(_nbytes(e) for k, e in self._cache.items() if k != s)
+                if held + _nbytes(got[s]) > DIJKSTRA_CACHE_BYTES:
+                    self._cache.clear()
+                self._cache[s] = got[s]
+        return [got[s] for s in srcs]
 
     def leg(self, point, cube: int) -> float:
         c = self.w.centers[cube]
@@ -192,14 +210,13 @@ class GeodesicSolver:
         return cubes
 
     def _cheapest(self, pa, pb, cas: list[int], cbs: list[int],
-                  dists: dict) -> tuple[int, int, float]:
+                  graph_value) -> tuple[int, int, float]:
         """Cheapest pair over the cubes ``cas`` of ``pa`` and ``cbs`` of ``pb``.
 
         A point on a shared cube boundary belongs to every adjacent closed
         cube; the distance minimizes over the admissible assignments.  A
         pair of one cube costs the straight leg; any other pair adds the
-        legs to the value of ``cb`` in ``dists[ca]``, a dense run or a ball
-        (:meth:`_settle`).
+        legs to ``graph_value(ca, cb)``, the graph distance from ``ca``.
         """
         best = None
         for ca in cas:
@@ -209,7 +226,7 @@ class GeodesicSolver:
                     v = math.hypot(pa[0] - pb[0], pa[1] - pb[1]) \
                         / self.w.delta_center[ca]
                 else:
-                    v = la + _value_at(dists[ca], cb) + self.leg(pb, cb)
+                    v = la + graph_value(ca, cb) + self.leg(pb, cb)
                 if best is None or v < best[2]:
                     best = (ca, cb, v)
         return best
@@ -220,47 +237,76 @@ class GeodesicSolver:
         Returns the radius the run covers (a cached run may cover more) and
         its distances as the cache holds them (:meth:`_settle`).
         """
-        radius, dist, _ = self._settle(src, radius, False)
-        return radius, dist
+        return self._settle([src], radius)[0][:2]
 
-    def _grow(self, src: int, radius: float, dist,
-              value: float) -> tuple[float, object]:
-        """Next run from ``src`` after its run to ``radius`` left ``value`` undecided.
+    def _graph_distance(self, ca: int, cb: int, r: float) -> float:
+        """Value at ``cb`` of the unbounded forward run from ``ca``, bit for bit.
 
-        The ball grows to where it would hold four times its cubes if it
-        kept growing as it did from ``radius / 2``, so the work of the runs
-        grows geometrically whether balls grow fast (toward a smooth
-        boundary) or slowly (along corridors).  A finite best total is an
-        upper bound and caps the radius, since a run to it decides.
-        Without one, a run that reached 1/16 of the cubes is followed by a
-        run over the whole graph.  A smaller ball grows until half its
-        radius holds its whole graph component; then the growth rate is 0
-        and the next run is unbounded, so every query stops.
+        A value in the ball A of ``ca`` is exact.  Else A and the ball B of
+        ``cb`` grow from radius ``r`` until they meet; the least d_a + d_b,
+        padded by ``PATH_PAD``, bounds the value: U.  Once the radii sum to U
+        plus the largest weight, the float-minimal path leaves A for the last
+        time into B, and a heap search from the cubes of A with d_a + d_b <= U
+        over B minus A, pruned by d_b, adds its weights as scipy does.  Balls
+        past 1/16 of the cubes or a search past ``FINISH_EXPANSIONS`` run the
+        source to U (unmet balls: to inf, if the component labels agree).
         """
-        reached = dist[1] if isinstance(dist, tuple) else dist[dist < math.inf]
-        if math.isinf(value) and 16 * len(reached) >= len(self.w):
-            return self._ball(src, math.inf)
-        rate = math.log2(len(reached) / np.count_nonzero(reached <= radius / 2.0))
-        step = radius / rate if rate > 0.0 else math.inf
-        return self._ball(src, min(radius + step, value))
+        if self._labels is not None and self._labels[ca] != self._labels[cb]:
+            return math.inf
+        hit = self._cache.get(ca)
+        if hit is not None and (hit[0] == math.inf or _values_at(hit[1], cb) < math.inf):
+            return float(_values_at(hit[1], cb))
+        while True:
+            (ra, a, _), (rb, b, _) = self._settle([ca, cb], r)
+            d = float(_values_at(a, cb))
+            if d < math.inf or ra == math.inf:
+                return d
+            ids, va = a if isinstance(a, tuple) else (np.arange(len(a)), a)
+            vb = _values_at(b, ids)  # inf where the balls do not meet
+            bound = float(np.min(va + vb, initial=math.inf)) * (1.0 + PATH_PAD)
+            # a dense run holds over 2/3 of the cubes
+            big = any(not isinstance(x, tuple) or 16 * len(x[0]) >= len(self.w) for x in (a, b))
+            total = bound + self._max_weight
+            if big or ra + rb >= total:
+                break
+            # unmet: the smaller ball doubles, catches up to half the larger, or reaches W
+            r = total / 2 if bound < math.inf else \
+                max(2 * min(ra, rb), max(ra, rb) / 2, self._max_weight)
+        if bound == math.inf:
+            if self._labels is None:
+                self._labels = connected_components(self.graph, connection="strong")[1]
+            if self._labels[ca] != self._labels[cb]:
+                return math.inf
+        elif ra + rb >= total:
+            g, keep, heap, done = self.graph, va + vb <= bound, [], set()
+            lo, hi = g.indptr[ids[keep]], g.indptr[ids[keep] + 1]  # the seeds' rows
+            at = np.repeat(lo - np.cumsum(hi - lo) + hi - lo, hi - lo) + np.arange((hi - lo).sum())
+            nb, phi = g.indices[at], np.repeat(va[keep], hi - lo) + g.data[at]
+            for _ in range(FINISH_EXPANSIONS):
+                ok = (_values_at(a, nb) == math.inf) & (phi + _values_at(b, nb) <= bound)
+                heap.extend(zip(phi[ok].tolist(), nb[ok].tolist()))
+                heapq.heapify(heap)
+                while heap and heap[0][1] in done:
+                    heapq.heappop(heap)
+                if not heap:
+                    break
+                phi, u = heapq.heappop(heap)
+                if u == cb:
+                    return phi
+                done.add(u)
+                lo, hi = g.indptr[u], g.indptr[u + 1]
+                nb, phi = g.indices[lo:hi], phi + g.data[lo:hi]
+        return float(_values_at(self._ball(ca, bound)[1], cb))
 
     def distance(self, a, b, limit: float = math.inf) -> float:
         """Graph quasihyperbolic distance between points of the domain.
 
         Symmetric by construction: the arguments are put in canonical order
-        first, so distance(a, b) and distance(b, a) run identically.
-
-        The search settles balls around the source cubes and grows them
-        until they decide the answer.  The first radius is ``limit`` or,
-        without one, 2 j + 1 for j = log(1 + |a - b| / min delta) over the
-        endpoint cubes, since the quasihyperbolic distance is at least j; a
-        cached run is read at the radius it holds.  A best total no larger
-        than the smallest radius read is exact, because a pair beyond a
-        run's radius costs more than that radius.  Otherwise the short runs
-        grow (:meth:`_grow`); a search with no finite total ends with an
-        unbounded run, so a target in another graph component costs inf.
-        Every value equals the unbounded search's bit for bit, whatever
-        ``limit`` and the cache.
+        first, so distance(a, b) and distance(b, a) run identically.  Each
+        pair of endpoint cubes (up to four each, on shared corners) costs its
+        legs plus the unbounded forward run's value from the first point's
+        cube, bit for bit (:meth:`_graph_distance`), from balls of first
+        radius ``limit`` or (j + 1) / 2, j = log(1 + |a - b| / min delta).
         """
         pa = (float(a[0]), float(a[1]))
         pb = (float(b[0]), float(b[1]))
@@ -268,27 +314,19 @@ class GeodesicSolver:
             pa, pb = pb, pa
         cas = self._endpoint_cubes(pa)
         cbs = self._endpoint_cubes(pb)
-        if not math.isfinite(limit):
-            near = float(self.w.delta_center[cas + cbs].min())
-            limit = 2.0 * math.log1p(math.hypot(pb[0] - pa[0], pb[1] - pa[1]) / near) + 1.0
-        # a source cube that is the only target cube needs no run
-        runs = {ca: self._ball(ca, self._cache[ca][0] if ca in self._cache else limit)
-                for ca in cas if cbs != [ca]}
-        while True:
-            value = self._cheapest(pa, pb, cas, cbs,
-                                   {ca: dist for ca, (_, dist) in runs.items()})[2]
-            short = [ca for ca, (radius, _) in runs.items() if radius < value]
-            if not short:
-                return value
-            for ca in short:
-                runs[ca] = self._grow(ca, *runs[ca], value)
+        near = float(self.w.delta_center[cas + cbs].min())
+        j = math.log1p(math.hypot(pb[0] - pa[0], pb[1] - pa[1]) / near)
+        r = limit if math.isfinite(limit) else (j + 1.0) / 2.0
+        return self._cheapest(pa, pb, cas, cbs,
+                              lambda ca, cb: self._graph_distance(ca, cb, r))[2]
 
     def geodesic(self, a, b) -> Geodesic:
         pa = (float(a[0]), float(a[1]))
         pb = (float(b[0]), float(b[1]))
         cas = self._endpoint_cubes(pa)
         dists = {ca: self.run_dijkstra(ca)[0] for ca in cas}
-        ca, cb, value = self._cheapest(pa, pb, cas, self._endpoint_cubes(pb), dists)
+        ca, cb, value = self._cheapest(pa, pb, cas, self._endpoint_cubes(pb),
+                                       lambda ca, cb: float(dists[ca][cb]))
         if ca == cb:
             return Geodesic(np.array([ca]), np.array([pa, pb]), np.zeros(1), value)
         chain = self.chain(ca, cb)
@@ -485,26 +523,28 @@ def _reason_counts(reason: np.ndarray) -> list[int]:
     return [int(c) for c in np.bincount(reason, minlength=3)]
 
 
-def _ball_of(dist: np.ndarray):
-    """A distance-only run as the cache stores it.
-
-    The sorted int32 ids and the values of the cubes it settled, 12 B a
-    cube, or ``dist`` itself, 8 B a cube, when that is no larger.
+def _ball_of(dist: np.ndarray, limit: float, weight: float) -> tuple:
+    """Radius and cache form of a distance-only run to ``limit``: the sorted
+    int32 ids and values of the cubes it settled (12 B a cube), or a copy of
+    ``dist`` (8 B a cube) when that is no larger.  The radius is inf once
+    ``limit`` passes the largest value plus ``weight``, the largest edge
+    weight, since the run then holds its whole graph component.
     """
     ids = np.flatnonzero(dist < math.inf)
-    if 3 * len(ids) >= 2 * len(dist):
-        return dist
-    return ids.astype(np.int32), dist[ids]
+    vals = dist[ids]
+    radius = math.inf if limit >= vals.max(initial=0.0) + weight else limit
+    return radius, dist.copy() if 3 * len(ids) >= 2 * len(dist) else (ids.astype(np.int32), vals)
 
 
-def _value_at(dist, i: int) -> float:
-    """Value of cube ``i`` in a stored run, inf where the run did not settle it."""
+def _values_at(dist, ids):
+    """Values of cubes ``ids`` in a stored run, inf where it did not settle them."""
     if not isinstance(dist, tuple):
-        return float(dist[i])
-    ids, vals = dist
-    # an int32 key: an int64 one would cast all of ``ids`` for the search
-    k = int(ids.searchsorted(np.int32(i)))
-    return float(vals[k]) if k < len(ids) and ids[k] == i else math.inf
+        return dist[ids]
+    held, vals = dist
+    # an int32 key: an int64 one would cast all of ``held`` for the search
+    ids = np.asarray(ids, dtype=np.int32)
+    k = held.searchsorted(ids)
+    return np.where(held.take(k, mode="clip") == ids, vals.take(k, mode="clip"), math.inf)
 
 
 def _nbytes(entry) -> int:

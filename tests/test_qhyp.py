@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.spatial import cKDTree
 
 from detourkit import qhyp
@@ -621,3 +621,73 @@ class TestBoundedSearch:
         assert [s._cache[c][0] for c in src] == [math.inf] * len(src)
         c = (-0.31, 0.49)
         assert s.distance(a, c) == min(t for t, _ in _ref_totals(s, {}, a, c))
+
+    @pytest.mark.parametrize("scene", ["disk", "triangle", "comb10"])
+    def test_meet_and_finish_match_unbounded(self, request, scene, monkeypatch):
+        w = request.getfixturevalue(scene)
+        rng = np.random.default_rng(31)
+        pts = _seeded_points(w, rng, 16)
+        pairs = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))]
+        pairs = [pairs[k] for k in rng.choice(len(pairs), 60, replace=False)]
+        s = qhyp.GeodesicSolver(w)
+        # centers of stencil neighbours: closer than the balls' first radius
+        for c in rng.choice(len(w), 4, replace=False):
+            pts += [tuple(w.centers[c]), tuple(w.centers[s.graph.indices[s.graph.indptr[c]]])]
+            pairs.append((len(pts) - 2, len(pts) - 1))
+        # _ball runs the source forward: the fallback past the finish's
+        # expansion guard, or from a ball past 1/16 of the cubes
+        forward = []
+        ball = s._ball
+        monkeypatch.setattr(s, "_ball", lambda *args: forward.append(args) or ball(*args))
+        runs: dict = {}
+        finished = direct = 0
+        for i, j in pairs + [(j, i) for i, j in pairs]:
+            before = len(forward)
+            got = s.distance(pts[i], pts[j])
+            assert got == min(t for t, _ in _ref_totals(s, runs, pts[i], pts[j]))
+            pa, pb = sorted([pts[i], pts[j]])
+            cas, cbs = w.find_cubes(pa), w.find_cubes(pb)
+            if len(cas) == len(cbs) == 1 and cas != cbs and math.isfinite(got):
+                # the source ball holds the target unless the finish decided
+                held = math.isfinite(float(qhyp._values_at(s._cache[cas[0]][1], cbs[0])))
+                finished += not held
+                direct += held and len(forward) == before
+        assert finished > 0 and direct > 0
+
+    def test_zero_limit_stops(self, disk8, monkeypatch):
+        # balls of radius 0 hold only their own cube: every round of the
+        # meeting grows them to at least the largest edge weight
+        a, b = (0.1, 0.2), (0.7, -0.3)
+        want = qhyp.GeodesicSolver(disk8).distance(a, b)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return dijkstra(*args, **kwargs)
+
+        monkeypatch.setattr(qhyp, "_sp_dijkstra", spy)
+        for limit in (0.0, 5e-324):
+            assert qhyp.GeodesicSolver(disk8).distance(a, b, limit=limit) == want
+        assert len(calls) <= 16
+
+    def test_cross_component_makes_no_run(self, comb10, monkeypatch):
+        s = qhyp.GeodesicSolver(comb10)
+        _, labels = connected_components(s.graph, connection="strong")
+        rng = np.random.default_rng(7)
+        pts = _seeded_points(comb10, rng, 40)
+        room = [labels[comb10.find_cubes(p)[0]] for p in pts]
+        cross = [(p, q) for p, a in zip(pts, room) for q, b in zip(pts, room) if a != b]
+        assert len(cross) > 20
+        # a first cross-room query grows a ball past 1/16 of the cubes
+        # without meeting, which labels the components
+        assert s.distance(*cross[0]) == math.inf
+        assert s._labels is not None
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return dijkstra(*args, **kwargs)
+
+        monkeypatch.setattr(qhyp, "_sp_dijkstra", spy)
+        assert all(s.distance(p, q) == math.inf for p, q in cross)
+        assert calls == []
