@@ -280,7 +280,7 @@ class GeodesicSolver:
         elif ra + rb >= total:
             g, keep, heap, done = self.graph, va + vb <= bound, [], set()
             lo, hi = g.indptr[ids[keep]], g.indptr[ids[keep] + 1]  # the seeds' rows
-            at = np.repeat(lo - np.cumsum(hi - lo) + hi - lo, hi - lo) + np.arange((hi - lo).sum())
+            at = np.concatenate([np.arange(l, h) for l, h in zip(lo.tolist(), hi.tolist())])
             nb, phi = g.indices[at], np.repeat(va[keep], hi - lo) + g.data[at]
             for _ in range(FINISH_EXPANSIONS):
                 ok = (_values_at(a, nb) == math.inf) & (phi + _values_at(b, nb) <= bound)
