@@ -44,8 +44,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import (POINT_SEGMENT_CHUNK, Polygon, _next_vertices,
-                       _polygon_signed_area, sample_circle, sample_polygon_boundary,
+from .geometry import (POINT_SEGMENT_CHUNK, _next_vertices, _polygon_signed_area,
+                       check_polygons, sample_circle, sample_polygon_boundary,
                        segment_distance_xy)
 
 __all__ = ["Domain", "DiskDomain", "PolygonDomain", "equilateral_triangle_domain",
@@ -205,8 +205,8 @@ class PolygonDomain(Domain):
     name: str = "polygon"
 
     def __post_init__(self) -> None:
-        poly = Polygon(np.asarray(self.vertices, dtype=float))
-        object.__setattr__(self, "vertices", poly.vertices)
+        v = np.asarray(self.vertices, dtype=float)
+        object.__setattr__(self, "vertices", check_polygons(v[None])[0])
 
     @cached_property
     def _edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -9,6 +9,9 @@ diagonals and the knight moves), of its own level or one level coarser
 distance over the mean of the two center boundary distances, and a query
 point pays an entry leg to its cube center.  A distance query grows two
 small balls until they meet, then finishes the forward sum between them.
+A solver caches two kinds of Dijkstra run under one byte budget: dense
+unbounded trees for geodesics, chains and fits, and distance-only balls,
+the sorted ids and values of the cubes they settled, for distance queries.
 
 The graph length of a path depends on its direction.  A 4-neighbour face
 graph pays up to sqrt(2) times the continuum length toward diagonal
@@ -144,7 +147,8 @@ class GeodesicSolver:
         n = len(w)
         indptr, indices, weights = w.stencil_graph()
         self.graph = csr_matrix((weights, indices, indptr), shape=(n, n))
-        self._cache: dict[int, tuple] = {}
+        self._trees: dict[int, tuple] = {}  # run_dijkstra's trees by source cube
+        self._cache: dict[int, tuple] = {}  # distance-only balls by source cube
         self._max_weight = float(weights.max(initial=0.0))
         self._labels = None  # graph component of each cube, once a query needs them
 
@@ -154,36 +158,49 @@ class GeodesicSolver:
         """Unbounded single-source distances and predecessors, cached per source.
 
         Both come back as dense arrays; cubes the graph does not reach from
-        ``src`` are at inf.
+        ``src`` are at inf.  The cache holds them as the tree ``(inf, dist,
+        pred)``, which serves no ball request (:meth:`_balls`).
         """
-        return self._settle([src], math.inf, True)[0][1:]
+        if src not in self._trees:
+            tree = _sp_dijkstra(self.graph, indices=src, return_predecessors=True)
+            self._store(self._trees, src, (math.inf, *tree))
+        return self._trees[src][1:]
 
-    def _settle(self, srcs: list[int], limit: float, predecessors: bool = False) -> list:
-        """Cache entries ``(radius, distances, predecessors)`` of runs from ``srcs``.
+    def _balls(self, srcs: list[int], limit: float) -> list[tuple]:
+        """Cached balls ``(radius, ids, values)`` of distance-only runs from ``srcs``.
 
-        Sources whose entry does not cover ``limit`` share one scipy call,
-        which scans the graph's weights once for all.  A run without
-        predecessors is stored as its ball (:func:`_ball_of`).  An entry that
-        would push the cache past ``DIJKSTRA_CACHE_BYTES`` clears it first.
+        A ball holds the sorted int32 ids of the cubes its run settled and
+        their float64 values, 12 B a cube.  Its radius is at least ``limit``,
+        and inf once the run's limit passes its largest value plus the
+        largest edge weight, since it then holds its whole graph component.
+        Sources whose ball falls short share one scipy call, which scans the
+        graph's weights once for all, and such a ball at least doubles.
         """
-        got = {s: hit for s in srcs if (hit := self._cache.get(s)) is not None
-               and hit[0] >= limit and (hit[2] is not None or not predecessors)}
+        got = {s: ball for s in srcs
+               if (ball := self._cache.get(s)) is not None and ball[0] >= limit}
         miss = [s for s in srcs if s not in got]
-        if miss and not predecessors:  # a ball that falls short at least doubles
-            limit = max([limit] + [2.0 * self._cache[s][0] for s in miss if s in self._cache])
         if miss:
-            out = _sp_dijkstra(self.graph, indices=miss,
-                               return_predecessors=predecessors, limit=limit)
-            dists, preds = out if predecessors else (out, [None] * len(miss))
-            for s, dist, pred in zip(miss, dists, preds):
-                radius, dist = (limit, dist) if predecessors \
-                    else _ball_of(dist, limit, self._max_weight)
-                got[s] = (radius, dist, pred)
-                held = sum(_nbytes(e) for k, e in self._cache.items() if k != s)
-                if held + _nbytes(got[s]) > DIJKSTRA_CACHE_BYTES:
-                    self._cache.clear()
-                self._cache[s] = got[s]
+            limit = max([limit] + [2.0 * self._cache[s][0] for s in miss if s in self._cache])
+            for s, dist in zip(miss, _sp_dijkstra(self.graph, indices=miss, limit=limit)):
+                ids = np.flatnonzero(dist < math.inf)
+                vals = dist[ids]
+                whole = limit >= vals.max(initial=0.0) + self._max_weight
+                got[s] = (math.inf if whole else limit, ids.astype(np.int32), vals)
+                self._store(self._cache, s, got[s])
         return [got[s] for s in srcs]
+
+    def _store(self, runs: dict, src: int, entry: tuple) -> None:
+        """Cache ``entry``, a tree or a ball of ``src``, in ``runs``.
+
+        An entry that would push the trees and balls together past
+        ``DIJKSTRA_CACHE_BYTES`` clears both first.
+        """
+        runs.pop(src, None)
+        held = [e for d in (self._trees, self._cache) for e in d.values()] + [entry]
+        if sum(x.nbytes + y.nbytes for _, x, y in held) > DIJKSTRA_CACHE_BYTES:
+            self._trees.clear()
+            self._cache.clear()
+        runs[src] = entry
 
     def leg(self, point, cube: int) -> float:
         c = self.w.centers[cube]
@@ -231,14 +248,6 @@ class GeodesicSolver:
                     best = (ca, cb, v)
         return best
 
-    def _ball(self, src: int, radius: float) -> tuple[float, object]:
-        """Distance-only run from ``src`` over at least ``radius``.
-
-        Returns the radius the run covers (a cached run may cover more) and
-        its distances as the cache holds them (:meth:`_settle`).
-        """
-        return self._settle([src], radius)[0][:2]
-
     def _graph_distance(self, ca: int, cb: int, r: float) -> float:
         """Value at ``cb`` of the unbounded forward run from ``ca``, bit for bit.
 
@@ -254,18 +263,17 @@ class GeodesicSolver:
         if self._labels is not None and self._labels[ca] != self._labels[cb]:
             return math.inf
         hit = self._cache.get(ca)
-        if hit is not None and (hit[0] == math.inf or _values_at(hit[1], cb) < math.inf):
-            return float(_values_at(hit[1], cb))
+        if hit is not None and (hit[0] == math.inf or _values_at(hit, cb) < math.inf):
+            return float(_values_at(hit, cb))
         while True:
-            (ra, a, _), (rb, b, _) = self._settle([ca, cb], r)
+            a, b = self._balls([ca, cb], r)
             d = float(_values_at(a, cb))
-            if d < math.inf or ra == math.inf:
+            if d < math.inf or a[0] == math.inf:
                 return d
-            ids, va = a if isinstance(a, tuple) else (np.arange(len(a)), a)
+            (ra, ids, va), rb = a, b[0]
             vb = _values_at(b, ids)  # inf where the balls do not meet
             bound = float(np.min(va + vb, initial=math.inf)) * (1.0 + PATH_PAD)
-            # a dense run holds over 2/3 of the cubes
-            big = any(not isinstance(x, tuple) or 16 * len(x[0]) >= len(self.w) for x in (a, b))
+            big = 16 * max(len(ids), len(b[1])) >= len(self.w)
             total = bound + self._max_weight
             if big or ra + rb >= total:
                 break
@@ -296,7 +304,7 @@ class GeodesicSolver:
                 done.add(u)
                 lo, hi = g.indptr[u], g.indptr[u + 1]
                 nb, phi = g.indices[lo:hi], phi + g.data[lo:hi]
-        return float(_values_at(self._ball(ca, bound)[1], cb))
+        return float(_values_at(self._balls([ca], bound)[0], cb))
 
     def distance(self, a, b, limit: float = math.inf) -> float:
         """Graph quasihyperbolic distance between points of the domain.
@@ -523,34 +531,13 @@ def _reason_counts(reason: np.ndarray) -> list[int]:
     return [int(c) for c in np.bincount(reason, minlength=3)]
 
 
-def _ball_of(dist: np.ndarray, limit: float, weight: float) -> tuple:
-    """Radius and cache form of a distance-only run to ``limit``: the sorted
-    int32 ids and values of the cubes it settled (12 B a cube), or a copy of
-    ``dist`` (8 B a cube) when that is no larger.  The radius is inf once
-    ``limit`` passes the largest value plus ``weight``, the largest edge
-    weight, since the run then holds its whole graph component.
-    """
-    ids = np.flatnonzero(dist < math.inf)
-    vals = dist[ids]
-    radius = math.inf if limit >= vals.max(initial=0.0) + weight else limit
-    return radius, dist.copy() if 3 * len(ids) >= 2 * len(dist) else (ids.astype(np.int32), vals)
-
-
-def _values_at(dist, ids):
-    """Values of cubes ``ids`` in a stored run, inf where it did not settle them."""
-    if not isinstance(dist, tuple):
-        return dist[ids]
-    held, vals = dist
+def _values_at(ball: tuple, ids):
+    """Values of cubes ``ids`` in a cached ball, inf where it did not settle them."""
+    _, held, vals = ball
     # an int32 key: an int64 one would cast all of ``held`` for the search
     ids = np.asarray(ids, dtype=np.int32)
     k = held.searchsorted(ids)
     return np.where(held.take(k, mode="clip") == ids, vals.take(k, mode="clip"), math.inf)
-
-
-def _nbytes(entry) -> int:
-    _, dist, pred = entry
-    held = dist if isinstance(dist, tuple) else (dist,)
-    return sum(a.nbytes for a in held) + (0 if pred is None else pred.nbytes)
 
 
 def solver_for(w: WhitneyDecomposition) -> GeodesicSolver:

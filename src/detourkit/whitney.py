@@ -79,6 +79,7 @@ class WhitneyDecomposition:
         # canonical (level, ix, iy) order; the packed key order matches it
         order = np.argsort(_pack(levels, ix, iy))
         self.domain = domain
+        self._bbox = domain.bbox()  # closed; find_cubes locates no point outside it
         self.min_level_cutoff = int(min_level_cutoff)
         self.levels = np.asarray(levels, dtype=np.int64)[order]
         self.ix = np.asarray(ix, dtype=np.int64)[order]
@@ -134,16 +135,20 @@ class WhitneyDecomposition:
 
         A point on a shared cube boundary belongs to up to four cubes; the
         list is sorted canonically and empty when the point is uncovered.
+        A point outside the closed domain bbox, NaN or inf included, is
+        uncovered: its cell indices would overflow the packed keys' fields.
         """
-        if not len(self):
+        x, y = float(point[0]), float(point[1])
+        x0, y0, x1, y1 = self._bbox
+        if not (len(self) and x0 <= x <= x1 and y0 <= y <= y1):
             return []
         lv, s = self._level_list
         # the cell of the point nudged by -eps and by +eps along each axis,
         # at every level: rows are the two nudges, columns the levels, and
         # the keys broadcast over all four combinations of the two nudges
         nudge = _NUDGE * s
-        cx = np.floor((float(point[0]) + nudge) / s).astype(np.int64)
-        cy = np.floor((float(point[1]) + nudge) / s).astype(np.int64)
+        cx = np.floor((x + nudge) / s).astype(np.int64)
+        cy = np.floor((y + nudge) / s).astype(np.int64)
         cand = _pack(lv, cx[:, None], cy[None, :]).ravel()
         pos = np.minimum(np.searchsorted(self.keys, cand), len(self) - 1)
         return sorted(set(pos[self.keys[pos] == cand].tolist()))
@@ -153,13 +158,15 @@ class WhitneyDecomposition:
 
         Ties on shared boundaries go to the cube with the nearest center.
         Raises :class:`UncoveredPointError` naming the nearest cube when the
-        point is not covered.
+        point is not covered, and no cube when it is not finite.
         """
         x, y = float(point[0]), float(point[1])
         hits = self.find_cubes(point)
         if hits:
             return min(hits, key=lambda i: (
                 (x - self.centers[i, 0]) ** 2 + (y - self.centers[i, 1]) ** 2, i))
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise UncoveredPointError(f"point ({x}, {y}) is not finite")
         near = self.nearest_cube(point)
         cube = self.cube(near)
         raise UncoveredPointError(

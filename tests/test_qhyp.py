@@ -302,62 +302,65 @@ class TestDijkstraCache:
         ref = qhyp.GeodesicSolver(disk)
         d0, pred0 = ref.run_dijkstra(0)
         d1, _ = ref.run_dijkstra(last)
-        assert list(ref._cache) == [0, last]
+        assert list(ref._trees) == [0, last]
         monkeypatch.setattr(qhyp, "DIJKSTRA_CACHE_BYTES",
                             2 * (d0.nbytes + pred0.nbytes) - 1)
         s = qhyp.GeodesicSolver(disk)
         assert np.array_equal(s.run_dijkstra(0)[0], d0)
-        assert list(s._cache) == [0]
+        assert list(s._trees) == [0]
         assert np.array_equal(s.run_dijkstra(last)[0], d1)
-        assert list(s._cache) == [last]
+        assert list(s._trees) == [last]
         assert np.array_equal(s.run_dijkstra(0)[0], d0)
-        assert list(s._cache) == [0]
+        assert list(s._trees) == [0]
 
     @pytest.mark.parametrize("scene", ["disk", "comb10"])
     def test_distance_entries_hold_their_balls(self, request, scene):
         # a distance-only entry holds the cubes an unbounded run puts within
         # its radius, with the same bits: sorted int32 ids and their values
-        # (12 B a cube) or the dense array (8 B a cube), whichever is smaller
         w = request.getfixturevalue(scene)
-        n = len(w)
         rng = np.random.default_rng(23)
         pts = _seeded_points(w, rng, 12)
         s = qhyp.GeodesicSolver(w)
         for k in rng.choice(len(pts), (40, 2)):
             s.distance(pts[k[0]], pts[k[1]])
-        balls = 0
-        for src, (radius, dist, pred) in s._cache.items():
-            assert pred is None
+        assert s._cache and not s._trees
+        for src, (radius, ids, vals) in s._cache.items():
             ref = dijkstra(s.graph, indices=src)
             within = np.flatnonzero(np.isfinite(ref) & (ref <= radius))
-            if isinstance(dist, tuple):
-                balls += 1
-                ids, vals = dist
-                assert 12 * len(within) < 8 * n
-                assert ids.dtype == np.int32 and ids.tolist() == within.tolist()
-                assert vals.tobytes() == ref[within].tobytes()
-            else:
-                assert 12 * len(within) >= 8 * n
-                want = np.full(n, np.inf)
-                want[within] = ref[within]
-                assert dist.tobytes() == want.tobytes()
-        assert balls > 0
+            assert ids.dtype == np.int32 and ids.tolist() == within.tolist()
+            assert vals.tobytes() == ref[within].tobytes()
 
     def test_byte_bound_evicts_balls(self, disk, monkeypatch):
         last = len(disk) - 1
         ref = qhyp.GeodesicSolver(disk)
-        r0, b0 = ref._ball(0, 1.0)
-        r1, b1 = ref._ball(last, 1.0)
-        assert isinstance(b0, tuple) and isinstance(b1, tuple)
-        size = [sum(a.nbytes for a in b) for b in (b0, b1)]
-        assert size[0] + size[1] < ref.graph.shape[0] * 8
+        (b0,), (b1,) = ref._balls([0], 1.0), ref._balls([last], 1.0)
+        size = [b[1].nbytes + b[2].nbytes for b in (b0, b1)]
         monkeypatch.setattr(qhyp, "DIJKSTRA_CACHE_BYTES", max(size) + 1)
         s = qhyp.GeodesicSolver(disk)
         for src, want in ((0, b0), (last, b1), (0, b0)):
-            radius, got = s._ball(src, 1.0)
-            assert radius == 1.0
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+            (got,) = s._balls([src], 1.0)
+            assert got[0] == 1.0
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got[1:], want[1:]))
             assert list(s._cache) == [src]
+
+    def test_tree_and_ball_share_the_budget(self, disk, monkeypatch):
+        ref = qhyp.GeodesicSolver(disk)
+        dist, pred = ref.run_dijkstra(0)
+        (ball,) = ref._balls([0], 1.0)
+        # a tree serves no ball request: the source holds one entry of each kind
+        assert list(ref._trees) == list(ref._cache) == [0]
+        both = dist.nbytes + pred.nbytes + ball[1].nbytes + ball[2].nbytes
+        for budget, kept in ((both, [0]), (both - 1, [])):
+            monkeypatch.setattr(qhyp, "DIJKSTRA_CACHE_BYTES", budget)
+            s = qhyp.GeodesicSolver(disk)
+            s.run_dijkstra(0)
+            (got,) = s._balls([0], 1.0)
+            assert got[0] == 1.0
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got[1:], ball[1:]))
+            assert list(s._trees) == kept and list(s._cache) == [0]
+            # below the sum, each entry clears the other
+            assert s.run_dijkstra(0)[0].tobytes() == dist.tobytes()
+            assert list(s._trees) == [0] and list(s._cache) == kept
 
 
 # --- batched boundary chains against the per-sample loop they replace ---------
@@ -634,11 +637,17 @@ class TestBoundedSearch:
         for c in rng.choice(len(w), 4, replace=False):
             pts += [tuple(w.centers[c]), tuple(w.centers[s.graph.indices[s.graph.indptr[c]]])]
             pairs.append((len(pts) - 2, len(pts) - 1))
-        # _ball runs the source forward: the fallback past the finish's
-        # expansion guard, or from a ball past 1/16 of the cubes
+        # a one-source _balls call runs the source forward: the fallback past
+        # the finish's expansion guard, or from a ball past 1/16 of the cubes
         forward = []
-        ball = s._ball
-        monkeypatch.setattr(s, "_ball", lambda *args: forward.append(args) or ball(*args))
+        balls = s._balls
+
+        def spy(srcs, limit):
+            if len(srcs) == 1:
+                forward.append(limit)
+            return balls(srcs, limit)
+
+        monkeypatch.setattr(s, "_balls", spy)
         runs: dict = {}
         finished = direct = 0
         for i, j in pairs + [(j, i) for i, j in pairs]:
@@ -649,7 +658,7 @@ class TestBoundedSearch:
             cas, cbs = w.find_cubes(pa), w.find_cubes(pb)
             if len(cas) == len(cbs) == 1 and cas != cbs and math.isfinite(got):
                 # the source ball holds the target unless the finish decided
-                held = math.isfinite(float(qhyp._values_at(s._cache[cas[0]][1], cbs[0])))
+                held = math.isfinite(float(qhyp._values_at(s._cache[cas[0]], cbs[0])))
                 finished += not held
                 direct += held and len(forward) == before
         assert finished > 0 and direct > 0

@@ -533,6 +533,20 @@ class TestPointLocation:
             disk10.find_cube((0.9999999, 0.0))
         assert "nearest cube" in str(err.value)
 
+    @pytest.mark.parametrize("p", [(2.0 ** 40, 0.0), (math.inf, 0.0), (math.nan, 0.1),
+                                   (-math.inf, math.nan)])
+    def test_far_and_non_finite_points_are_uncovered(self, p):
+        # a far point's cell index overflows the packed keys' 28-bit field
+        # and aliased a real key; inf and NaN were cast with a warning
+        from detourkit.qhyp import GeodesicSolver
+
+        w = refine_for_qh(whitney_decompose(DiskDomain(), 7))
+        assert w.find_cubes(p) == []
+        with pytest.raises(UncoveredPointError):
+            w.find_cube(p)
+        with pytest.raises(UncoveredPointError):
+            GeodesicSolver(w).distance(p, (0.1, 0.1))
+
 
 class TestSerialization:
     def test_cubes_csv_columns(self):
