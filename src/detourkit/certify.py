@@ -563,36 +563,24 @@ def carpet_counterexample(p: float, m: int, y0: float,
         energies.append(total)
     ratios = [b / a for a, b in zip(deltas, deltas[1:])]
 
-    # surviving x-intervals of the row y0 at level m
-    digits = []
+    # surviving x-intervals of the row y0 at each level lvl: [n, n + 1] / 3^lvl
+    # for the numerators n; a and b are exact int-to-float conversions (below
+    # 2^53) and one correctly rounded quotient each, as Python's int / int
+    psival = float(psi(np.array([y0]))[0])
+    nums = np.zeros(1, dtype=np.int64)
+    series = []
     y = y0
-    for _ in range(m):
+    for lvl in range(1, m + 1):
         y *= 3.0
         d = min(int(y), 2)
-        digits.append(d)
         y -= d
-    intervals = [(0, 1)]  # numerators over 3^level
-    series = []
-    for lvl, d in enumerate(digits, start=1):
-        new = []
-        allowed = (0, 2) if d == 1 else (0, 1, 2)
-        for a, _ in intervals:
-            for t in allowed:
-                new.append((3 * a + t, 3 ** lvl))
-        intervals = [(a, q) for a, q in new]
-        series.append(_row_image_measure(intervals, y0))
+        nums = (3 * nums[:, None] + np.array((0, 2) if d == 1 else (0, 1, 2))).ravel()
+        a, b = nums / 3 ** lvl, (nums + 1) / 3 ** lvl
+        ha, hb = staircase_array(a, 50), staircase_array(b, 50)
+        series.append(float(np.sum((b - a) + psival * (hb - ha))))
     image = series[-1] if series else 1.0
 
     return CarpetReport(p, m, y0, energies, deltas, ratios, image, series, ring)
-
-
-def _row_image_measure(intervals, y0: float) -> float:
-    a = np.array([n / q for n, q in intervals])
-    b = np.array([(n + 1) / q for n, q in intervals])
-    psival = float(psi(np.array([y0]))[0])
-    ha = staircase_array(a, 50)
-    hb = staircase_array(b, 50)
-    return float(np.sum((b - a) + psival * (hb - ha)))
 
 
 def image_tail_contrast(f: FractalApproximation, fn: PiecewiseFunctionSample,

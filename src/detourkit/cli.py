@@ -5,9 +5,9 @@ reproducible runs: fixed seed means byte-identical JSON/CSV artifacts
 (timestamps go to a separate metadata file).  Exit status is 0 when every
 requested certificate passes, 2 on a certificate failure (or a detour run in
 which every line is exceptional, so that no line was checked), and 1 on usage
-or resource errors.  Every field of :class:`RunConfig` after ``command`` is a
-flag of every command, with the field's type and default; flags may come
-before or after the command.
+or resource errors, a flag value the library rejects among them.  Every field
+of :class:`RunConfig` after ``command`` is a flag of every command, with the
+field's type and default; flags may come before or after the command.
 """
 
 from __future__ import annotations
@@ -382,7 +382,9 @@ def main(argv: list[str] | None = None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         try:
             status, error = run(cfg), None
-        except DetourkitError as exc:
+        # the library's own argument checks raise ValueError: a flag value
+        # they reject is a usage error like any other
+        except (DetourkitError, ValueError) as exc:
             status, error = 1, exc
     if error is not None:
         print(f"error: {error}", file=sys.stderr)

@@ -435,9 +435,10 @@ def detour_path(line: Line, f: FractalApproximation, epsilon: float,
     """Construct the corridor path for ``line`` at tolerance ``epsilon``.
 
     Any condition that fails during construction is recorded and the report
-    comes back as a failure instead of a path.  The walk along the cover
-    records the gap midpoints and the arc edges; their point queries are
-    answered together afterwards, and the violations come out in walk order.
+    comes back as a failure instead of a path.  Gap k runs from the exit of
+    crossing k - 1 (or ``t_lo``) to the entry of crossing k (or ``t_hi``).
+    One call locates the gap midpoints and the arc edges; one loop over the
+    cover then emits gap k, crossing k and its edges' owners in walk order.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -458,68 +459,48 @@ def detour_path(line: Line, f: FractalApproximation, epsilon: float,
     ends = np.array([(cv.interval.lo, cv.interval.hi) for cv in arcs]).reshape(-1, 2)
     routes, diams = _arc_routes(solids[[cv.solid for cv in arcs]],
                                 line.point_at(ends[:, 0]), line.point_at(ends[:, 1]))
-
-    points: list[np.ndarray] = [line.point_at(t_lo)]
-    arc_margins: list[float] = []
-    cursor = t_lo
-    gap_ts: list[float] = []
-    # in walk order: ("gap", gap number), ("arc", solid, route number) or
-    # ("violation", text)
-    events: list[tuple] = []
-
-    def mark_gap(a: float, b: float) -> None:
-        if b - a > VERTEX_TOL:
-            events.append(("gap", len(gap_ts)))
-            gap_ts.append((a + b) / 2.0)
-
-    r = 0
-    for cv in cover:
-        iv = cv.interval
-        mark_gap(cursor, iv.lo)
-        cursor = iv.hi
-        if cv.degenerate:
-            points.append(line.point_at(iv.lo))
-            arc_margins.append(0.0)
-            continue
-        arc_diam = diams[r]
-        arc_margins.append(arc_diam)
-        if arc_diam >= epsilon:
-            events.append(("violation",
-                           f"replacement arc diameter {arc_diam:.4f} >= epsilon {epsilon}"))
-        events.append(("arc", cv.solid, r))
-        points.append(routes[r])   # starts at the entry point
-        r += 1
-    mark_gap(cursor, t_hi)
-    points.append(line.point_at(t_hi))
-
     starts = np.cumsum([0] + [len(r) - 1 for r in routes]).tolist()
     edge_a = np.vstack([r[:-1] for r in routes] or [np.empty((0, 2))])
     edge_b = np.vstack([r[1:] for r in routes] or [np.empty((0, 2))])
-    gap_ks, owners = (ks.tolist() for ks in _locate_path_points(
-        scene, line.point_at(np.array(gap_ts)).reshape(-1, 2), edge_a, edge_b,
-        VERTEX_TOL))
 
+    lo = np.array([t_lo] + [cv.interval.hi for cv in cover])
+    hi = np.array([cv.interval.lo for cv in cover] + [t_hi])
+    gap_t = (lo + hi) / 2.0
+    live = np.flatnonzero(hi - lo > VERTEX_TOL)
+    gap_ks, owners = (ks.tolist() for ks in _locate_path_points(
+        scene, line.point_at(gap_t[live]).reshape(-1, 2), edge_a, edge_b, VERTEX_TOL))
+    gap_comp = dict(zip(live.tolist(), gap_ks))
+
+    points: list[np.ndarray] = [line.point_at(t_lo)]
+    arc_margins: list[float] = []
     touched: set[int] = set()
     violations: list[str] = []
-    for ev in events:
-        if ev[0] == "violation":
-            violations.append(ev[1])
-        elif ev[0] == "gap":
-            k = gap_ks[ev[1]]
-            if k < 0:
-                violations.append(
-                    f"gap midpoint at t={gap_ts[ev[1]]:.6f} lies inside the "
-                    "solid approximation")
-            else:
-                touched.add(k)
-        else:
-            _, solid, r = ev
-            for owner in owners[starts[r]:starts[r + 1]]:
-                if owner < 0:
-                    violations.append(
-                        f"arc edge of solid {solid} has no complementary owner")
-                else:
-                    touched.add(owner)
+    r = 0
+    for k in range(len(cover) + 1):
+        c = gap_comp.get(k)
+        if c is not None and c < 0:
+            violations.append(f"gap midpoint at t={gap_t[k]:.6f} lies inside the "
+                              "solid approximation")
+        elif c is not None:
+            touched.add(c)
+        if k == len(cover):
+            break  # the last gap has no crossing after it
+        cv = cover[k]
+        if cv.degenerate:
+            points.append(line.point_at(cv.interval.lo))
+            arc_margins.append(0.0)
+            continue
+        arc_margins.append(diams[r])
+        if diams[r] >= epsilon:
+            violations.append(
+                f"replacement arc diameter {diams[r]:.4f} >= epsilon {epsilon}")
+        points.append(routes[r])   # starts at the entry point
+        edge_owners = owners[starts[r]:starts[r + 1]]
+        violations += [f"arc edge of solid {cv.solid} has no complementary "
+                       "owner"] * edge_owners.count(-1)
+        touched.update(o for o in edge_owners if o >= 0)
+        r += 1
+    points.append(line.point_at(t_hi))
 
     polyline = np.vstack(points)
     haus = float(line.distance_to_points(polyline).max())

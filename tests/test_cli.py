@@ -103,6 +103,27 @@ class TestWarningLines:
         assert done.stderr == "error: no accepted cube at cutoff 0; increase the cutoff\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("args, message", [
+        ("detour --scene gasket --levels 3 --epsilon -1", "epsilon must be positive"),
+        ("generate --scene gasket --levels -1", "level must be non-negative"),
+        ("generate --scene julia --map bogus",
+         "unknown map 'bogus'; expected one of ('z2+lambda/z2', 'z2-16/27z')"),
+        ("generate --scene apollonian --min-radius 0", "min_radius must be positive"),
+        ("qhyp --scene disk --cutoff 6 --qh-bound 0.5", "qh_bound must be in (0, 1/3]"),
+        ("carpet --p 9 --m 3", "p must lie in [2, 8]"),
+        ("carpet --p 3 --m 0", "m must be positive"),
+        ("certify --scene gasket --levels 4 --what removability --p 2 --m 2",
+         "the removability certificate needs p > 2"),
+        ("certify --scene gasket --levels 4 --what measure-zero --m 4",
+         "need generated levels beyond m for the bound"),
+    ])
+    def test_rejected_flag_value_prints_only_its_error(self, tmp_path, args, message):
+        # the library's argument checks, not the parser, reject these values
+        done = self.cli(tmp_path, *args.split())
+        assert done.returncode == 1
+        assert done.stderr == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestDetourCommand:
     def test_end_to_end(self, tmp_path):

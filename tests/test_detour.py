@@ -1,3 +1,4 @@
+import hashlib
 import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
@@ -761,6 +762,66 @@ class TestDetourPath:
         rep = dt.detour_path(Line.horizontal(0.52), carpet, 0.2)
         assert not rep.ok
         assert rep.violations
+
+    def test_report_digest_random_lines(self):
+        # horizontal, vertical and oblique lines through gasket and carpet
+        # scenes; oblique lines reach the missed-component check, which the
+        # axis-parallel golden artifacts of the CLI never do.  Every report
+        # is encoded with repr and tobytes, not pickle, whose bytes depend on
+        # the Python version.
+        rng = np.random.default_rng(22)
+        lines = ([Line.horizontal(float(y)) for y in rng.uniform(-0.05, 1.0, 12)]
+                 + [Line.vertical(float(x)) for x in rng.uniform(-0.05, 1.05, 12)]
+                 + [Line((math.cos(th), math.sin(th)), float(off))
+                    for th, off in zip(rng.uniform(0.0, math.pi, 12),
+                                       rng.uniform(-0.1, 1.0, 12))])
+        h = hashlib.sha256()
+        counts = {"ok": 0, "failed": 0, "missed": 0}
+        for f, epsilons in ((gasket_levels(6), (0.1, 0.02)),
+                            (carpet_levels(3), (0.2, 0.1))):
+            scene = dt.FractalScene(f)
+            for eps in epsilons:
+                for line in lines:
+                    rep = dt.detour_path(line, f, eps, scene=scene)
+                    key = [rep.status, rep.level, rep.violations,
+                           rep.hausdorff_margin, rep.touched_count]
+                    if rep.path is not None:
+                        key += [sorted(rep.path.touched), list(rep.path.arc_margins)]
+                        h.update(rep.path.polyline.tobytes())
+                    h.update(repr(key).encode() + b"\n")
+                    counts[rep.status] += 1
+                    counts["missed"] += sum("is missed by the line" in v
+                                            for v in rep.violations)
+        assert counts == {"ok": 90, "failed": 54, "missed": 76}
+        assert h.hexdigest() == \
+            "4d4c013f5a80f6895c8fc96c46a4ae0b2bebfd041ecd99b19ed470071bc7ea2a"
+
+    def test_violations_in_walk_order(self, gasket6, scene6, monkeypatch):
+        # the arc-diameter, gap-midpoint and straying checks cannot fire by
+        # construction; planted wide arcs, a shifted route, and gaps and
+        # edges that locate nothing make every kind of violation fire
+        arc_routes, locate = dt._arc_routes, dt._locate_path_points
+
+        def wide_arcs(*args):
+            routes, diams = arc_routes(*args)
+            routes[1] = routes[1] + [0.0, 0.25]
+            return routes, [d * (1 + 4 * (i % 2)) for i, d in enumerate(diams)]
+
+        def lost_points(*args):
+            gap_ks, owners = locate(*args)
+            gap_ks[::2], owners[::3] = -1, -1
+            return gap_ks, owners
+
+        monkeypatch.setattr(dt, "_arc_routes", wide_arcs)
+        monkeypatch.setattr(dt, "_locate_path_points", lost_points)
+        rep = dt.detour_path(Line((1.0, 0.4), 0.2), gasket6, 0.1, scene=scene6)
+        kinds = [" ".join(v.split()[:2]) for v in rep.violations]
+        assert kinds == ["gap midpoint", "arc edge", "replacement arc", "arc edge",
+                         "arc edge", "gap midpoint", "replacement arc", "arc edge",
+                         "gap midpoint", "arc edge", "replacement arc",
+                         "gap midpoint", "path strays"]
+        assert hashlib.sha256("\n".join(rep.violations).encode()).hexdigest() == \
+            "fdb659833aef65ffdcca28655737c37900227ecb1b1219ba52ed7eb6888e4c2c"
 
 
 class TestVerifyDetour:
