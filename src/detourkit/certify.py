@@ -355,9 +355,9 @@ def boundary_image_tail(w: WhitneyDecomposition, table: ShadowTable,
     With p = 2 the side exponent vanishes and the sum reduces to the shadow
     square sum over small cubes.
     """
-    if p < 2:
+    if not p >= 2:  # NaN too
         raise ValueError("exponent p must be at least 2")
-    pprime = p / (p - 1.0) if p > 1 else math.inf
+    pprime = p / (p - 1.0)
     a = (1.0 - 2.0 / p) * pprime
     total = 0.0
     for cube_id, s in table.s_values().items():

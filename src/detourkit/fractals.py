@@ -123,10 +123,7 @@ class FractalApproximation:
         dyadic float; carpet holes are squares of side 3**-level.
         """
         if self.kind == "gasket":
-            tri = self.levels[level].holes
-            if len(tri) == 0:
-                return np.zeros(0)
-            return tri[:, :, 0].max(axis=1) - tri[:, :, 0].min(axis=1)
+            return _x_widths(self.levels[level].holes)
         if self.kind == "carpet":
             n = len(self.levels[level].holes)
             return np.full(n, math.sqrt(2.0) * 3.0 ** (-level))
@@ -150,9 +147,7 @@ class FractalApproximation:
 
     def _max_solid_diameter(self, level: int) -> float:
         if self.kind == "gasket":
-            # corner-wise max/min: ~9x faster than reducing an axis of length 3
-            a, b, c = self.levels[level].solids[:, :, 0].T
-            return float((np.maximum(np.maximum(a, b), c) - np.minimum(np.minimum(a, b), c)).max())
+            return float(_x_widths(self.levels[level].solids).max())
         if self.kind == "carpet":
             return math.sqrt(2.0) * 3.0 ** (-level)
         tri = self.interstices[level]
@@ -232,6 +227,12 @@ def _squares(cells: np.ndarray, level: int) -> np.ndarray:
     """Counter-clockwise vertices (n, 4, 2) of carpet cells of a level."""
     side = 3.0 ** (-level)
     return (cells * side)[:, None, :] + _UNIT_SQUARE[None, :, :] * side
+
+
+def _x_widths(tri: np.ndarray) -> np.ndarray:
+    """Exact horizontal widths of triangles (n, 3, 2), corner-wise: ~9x faster than max(axis=1)."""
+    a, b, c = tri[:, :, 0].T
+    return np.maximum(np.maximum(a, b), c) - np.minimum(np.minimum(a, b), c)
 
 
 def gasket_levels(m: int) -> FractalApproximation:

@@ -31,9 +31,6 @@ _COORD_BIAS = 1 << 27
 #: corner comparability: ell(Q) <= corner delta <= CORNER_UPPER * ell(Q)
 CORNER_UPPER = 4.0 * SQRT2 + SQRT2
 
-#: the two nudges of a located point, in cube sides (see find_cubes)
-_NUDGE = np.array([[-1e-12], [1e-12]])
-
 
 def _pack(level: np.ndarray, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
     lv = (np.asarray(level, dtype=np.int64) + _LEVEL_BIAS) << 56
@@ -77,7 +74,8 @@ class WhitneyDecomposition:
                  levels: np.ndarray, ix: np.ndarray, iy: np.ndarray,
                  dist: np.ndarray):
         # canonical (level, ix, iy) order; the packed key order matches it
-        order = np.argsort(_pack(levels, ix, iy))
+        keys = _pack(levels, ix, iy)
+        order = np.argsort(keys)
         self.domain = domain
         self._bbox = domain.bbox()  # closed; find_cubes locates no point outside it
         self.min_level_cutoff = int(min_level_cutoff)
@@ -92,7 +90,7 @@ class WhitneyDecomposition:
             if len(self.levels) else np.zeros(0)
         if np.any(self.delta_center <= 0.0):
             raise OracleError("inside cube center with zero boundary distance")
-        self.keys = _pack(self.levels, self.ix, self.iy)
+        self.keys = keys[order]
         self.uncovered_area = max(domain.area() - float(np.sum(self.side ** 2)), 0.0)
 
     # --- basic accessors ---------------------------------------------------
@@ -135,6 +133,8 @@ class WhitneyDecomposition:
 
         A point on a shared cube boundary belongs to up to four cubes; the
         list is sorted canonically and empty when the point is uncovered.
+        Location is exact, with no tolerance: at each level s the closed
+        cells holding x are ``floor(x / s)`` and ``ceil(x / s) - 1``, as for y.
         A point outside the closed domain bbox, NaN or inf included, is
         uncovered: its cell indices would overflow the packed keys' fields.
         """
@@ -143,12 +143,10 @@ class WhitneyDecomposition:
         if not (len(self) and x0 <= x <= x1 and y0 <= y <= y1):
             return []
         lv, s = self._level_list
-        # the cell of the point nudged by -eps and by +eps along each axis,
-        # at every level: rows are the two nudges, columns the levels, and
-        # the keys broadcast over all four combinations of the two nudges
-        nudge = _NUDGE * s
-        cx = np.floor((x + nudge) / s).astype(np.int64)
-        cy = np.floor((y + nudge) / s).astype(np.int64)
+        # x / s is exact (s is a power of two); keys broadcast over x cells, y cells, levels
+        u, v = x / s, y / s
+        cx = np.array([np.ceil(u) - 1, np.floor(u)], dtype=np.int64)
+        cy = np.array([np.ceil(v) - 1, np.floor(v)], dtype=np.int64)
         cand = _pack(lv, cx[:, None], cy[None, :]).ravel()
         pos = np.minimum(np.searchsorted(self.keys, cand), len(self) - 1)
         return sorted(set(pos[self.keys[pos] == cand].tolist()))

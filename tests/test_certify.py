@@ -17,7 +17,7 @@ from detourkit.errors import InvalidShapeError, MissingFitError
 from detourkit.fractals import (FractalApproximation, FractalLevel,
                                 TangentCircleTriple, apollonian,
                                 carpet_levels, gasket_levels, staircase_array)
-from detourkit.geometry import Line
+from detourkit.geometry import Interval1D, Line
 from detourkit.whitney import refine_for_qh, whitney_decompose
 
 
@@ -36,6 +36,37 @@ def square_w():
     domain = PolygonDomain(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0],
                                      [0.0, 1.0]]), name="square")
     return whitney_decompose(domain, 6)
+
+
+def _union_length_by_cells(spans, lo, hi):
+    """Length of the union of closed spans within [lo, hi], summed over the
+    cells between consecutive endpoints that some span covers."""
+    cuts = sorted({lo, hi} | {min(max(v, lo), hi) for s in spans for v in s})
+    return sum(b - a for a, b in zip(cuts, cuts[1:])
+               if any(s[0] <= a and b <= s[1] for s in spans))
+
+
+class TestMergedHitLength:
+    def test_matches_union_by_cells(self):
+        # endpoints on a grid of eighths, so every sum is exact; the fixed
+        # spans are nested, overlapping, touching, empty and clipped away
+        fixed = [(1.0, 4.0), (2.0, 3.0), (3.5, 5.0), (5.0, 6.0), (6.5, 6.5),
+                 (-3.0, -1.0), (9.0, 12.0), (-1.0, 0.5)]
+        rng = np.random.default_rng(23)
+        for trial in range(200):
+            ends = np.sort(rng.integers(-16, 80, (rng.integers(0, 9), 2)), axis=1) / 8.0
+            spans = [tuple(e) for e in ends.tolist()] + (fixed if trial % 2 else [])
+            lo, hi = sorted(rng.integers(-8, 72, 2) / 8.0)
+            got = ct._merged_hit_length([Interval1D(a, b) for a, b in spans], lo, hi)
+            assert got == _union_length_by_cells(spans, lo, hi), (spans, lo, hi)
+
+    def test_overlap_and_clip_branches(self):
+        ivs = [Interval1D(a, b) for a, b in
+               [(0.0, 2.0), (1.0, 3.0), (1.5, 2.5), (3.0, 4.0), (-5.0, -1.0), (6.0, 9.0)]]
+        # (0, 2) then the overlap (1, 3) adds 1, the nested (1.5, 2.5) adds
+        # nothing, the touching (3, 4) adds 1, (-5, -1) is clipped away and
+        # (6, 9) is cut to (6, 7)
+        assert ct._merged_hit_length(ivs, 0.0, 7.0) == 5.0
 
 
 class TestMeasureZeroBound:
@@ -280,6 +311,12 @@ class TestBoundaryImageTail:
         vals = [ct.boundary_image_tail(w, table, 3.0, 2.0 ** -k)
                 for k in range(4, 9)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("p", [1.5, 1.0, math.nan])
+    def test_exponent_below_two_rejected(self, shadow_setup, p):
+        w, _, table = shadow_setup
+        with pytest.raises(ValueError):
+            ct.boundary_image_tail(w, table, p, 0.1)
 
     def test_p2_reduces_to_shadow_squares(self, shadow_setup):
         w, _, table = shadow_setup

@@ -283,6 +283,15 @@ class TestScene:
         for v in holes:
             assert np.array_equal(Polygon(v).vertices, v)
 
+    def test_locate_without_holes(self):
+        # carpet level 0 has no hole: points go to the solid square or to
+        # the unbounded component, the square's closed boundary included
+        scene = dt.FractalScene(carpet_levels(0))
+        assert len(scene.holes) == 0
+        pts = [[0.5, 0.5], [0.0, 0.0], [1.0, 0.5], [2.0, 2.0], [-0.1, 0.5]]
+        assert scene.locate_many(pts).tolist() == [-1, -1, -1, 0, 0]
+        assert scene.locate((2.0, 2.0)) == 0
+
     def test_gasket_hole_ids_follow_levels(self, gasket6, scene6):
         # locate derives its gasket hole ids from hole_levels; the centroid
         # of every level-j hole triangle must come back as a level-j hole

@@ -181,6 +181,14 @@ class TestClosuresIntersect:
         touching = SceneComponent(1, Circle(Point(4.0, 0.0), 1.0))
         assert component_closures_intersect(outer, touching, 1e-9)
 
+    def test_two_unbounded(self):
+        # two exteriors both hold every far point, however far apart the
+        # curves are
+        a = SceneComponent(0, Circle(Point(0.0, 0.0), 1.0), bounded=False)
+        b = SceneComponent(0, Polygon(np.array(
+            [[10.0, 0.0], [11.0, 0.0], [11.0, 1.0]])), bounded=False)
+        assert component_closures_intersect(a, b, 0.0)
+
     def test_circle_and_polygon_rejected(self):
         # no scene mixes circles and polygons; apart, the pair reaches the
         # boundary distance, which has no circle-polygon case

@@ -9,7 +9,8 @@ from detourkit import qhyp
 from detourkit.domains import (DiskDomain, PolygonDomain, comb_domain,
                                equilateral_triangle_domain)
 from detourkit.errors import ResolutionError, UncoveredPointError
-from detourkit.whitney import refine_for_qh, whitney_decompose
+from detourkit.whitney import (WhitneyDecomposition, refine_for_qh,
+                               whitney_decompose)
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +46,21 @@ class TestDistance:
             da = float(disk.domain.boundary_distance(np.array([a]))[0])
             db = float(disk.domain.boundary_distance(np.array([b]))[0])
             assert qhyp.qh_distance(disk, a, b) >= abs(math.log(da / db)) - 0.7
+
+    def test_fine_face_point_uses_both_cubes(self):
+        # two level-15 cubes meet at x = 0.75, where a nudge of 1e-12 sides
+        # rounds back to 0.75: a point on that face belongs to the left cube
+        # too, so its distance to the left center is the straight leg
+        domain = DiskDomain(radius=8.0)
+        s = 2.0 ** -15
+        ix, iy = np.array([int(0.75 / s) - 1, int(0.75 / s)]), np.zeros(2, np.int64)
+        dist = domain.cube_boundary_distance((ix + 0.5) * s, (iy + 0.5) * s,
+                                             np.full(2, s / 2))
+        w = WhitneyDecomposition(domain, 15, np.full(2, 15), ix, iy, dist)
+        p, c = (0.75, s / 2), tuple(w.centers[0])
+        leg = math.hypot(p[0] - c[0], p[1] - c[1]) / w.delta_center[0]
+        assert qhyp.GeodesicSolver(w).distance(p, c) == leg
+        assert qhyp.GeodesicSolver(w).distance(c, p) == leg
 
     def test_uncovered_point(self, disk):
         with pytest.raises(UncoveredPointError):

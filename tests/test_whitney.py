@@ -459,6 +459,11 @@ class TestSegmentCubes:
         assert cubes[owner == 1].tolist() == [rows[0]]
         assert np.all(np.diff(cubes) >= 0)
 
+    def test_chain_cubes_of_no_chains(self, comb_refined):
+        owner, cubes = comb_refined.chain_cubes([])
+        assert owner.dtype == cubes.dtype == np.int64
+        assert len(owner) == len(cubes) == 0
+
 
 class TestPointLocation:
     def test_center_found(self, disk10):
@@ -527,6 +532,35 @@ class TestPointLocation:
         got = [w.find_cubes(p) for p in points]
         assert got == [stacked(p) for p in points]
         assert sum(len(g) > 1 for g in got) > 100
+
+    @pytest.mark.parametrize("level", [13, 15, 16, 20])
+    @pytest.mark.parametrize("c", [0.25, 0.5, 0.75])
+    def test_exact_cells_on_fine_faces(self, level, c):
+        # hand-assembled cubes meeting at x = c, at y = c or at the corner
+        # (c, c).  From level 15 at c = 0.75 (16 at 0.25) a nudge of
+        # 1e-12 sides is below half an ulp of c and rounds back to c, so a
+        # nudged lookup never probes the cube across the face
+        domain = DiskDomain(radius=8.0)
+        s = 2.0 ** -level
+        i = int(c / s)
+        configurations = [
+            ([(i - 1, i), (i, i)], (c, (i + 0.25) * s)),             # x face
+            ([(i, i - 1), (i, i)], ((i + 0.25) * s, c)),             # y face
+            ([(i - 1, i - 1), (i, i - 1), (i - 1, i), (i, i)], (c, c)),  # corner
+        ]
+        for cells, p in configurations:
+            ix, iy = np.array(cells).T
+            side = np.full(len(cells), s)
+            dist = domain.cube_boundary_distance((ix + 0.5) * s, (iy + 0.5) * s, side / 2)
+            w = WhitneyDecomposition(domain, level, np.full(len(cells), level), ix, iy, dist)
+            assert w.find_cubes(p) == list(range(len(cells))), (cells, p)
+            # the centers are equidistant from p: the lowest id wins
+            assert w.find_cube(p) == 0
+            # one ulp off the face or corner, a point belongs to one cube
+            below = tuple(np.nextafter(p, -math.inf))
+            above = tuple(np.nextafter(p, math.inf))
+            assert w.find_cubes(below) == [0]
+            assert w.find_cubes(above) == [len(cells) - 1]
 
     def test_uncovered_raises_with_nearest(self, disk10):
         with pytest.raises(UncoveredPointError) as err:
