@@ -25,8 +25,12 @@ SQRT3 = math.sqrt(3.0)
 _AREA_PER_SQUARED_DIAMETER = {"gasket": SQRT3 / 4.0, "carpet": 0.5,
                               "apollonian": math.pi / 4.0}
 
-GASKET_MAX_LEVEL = 20
-CARPET_MAX_LEVEL = 12
+# the deepest levels whose level arrays fit in 1 GiB: gasket levels 0..m
+# hold 3^j solids and 3^(j-1) holes of 48 B each, 96 * 3^m B in all (m = 14:
+# 0.43 GiB, 15: 1.28 GiB); carpet levels hold 8^j solid and 8^(j-1) hole
+# cells of 16 B each, 16 * 9 / 7 * 8^m B (m = 8: 0.32 GiB, 9: 2.57 GiB)
+GASKET_MAX_LEVEL = 14
+CARPET_MAX_LEVEL = 8
 _APOLLONIAN_CIRCLE_CAP = 2_000_000
 
 

@@ -207,13 +207,8 @@ class WhitneyDecomposition:
 
     @cached_property
     def _face_table(self) -> np.ndarray:
-        """(4, n) same-or-coarser face neighbours; see :func:`_face_neighbours`."""
-        # touching cubes are at most 2 levels apart after the sweep (the
-        # Whitney lemma) and at most 1 after refine_for_qh; 4 is slack for
-        # decompositions assembled by hand
-        spread = int(self.levels.max() - self.levels.min()) if len(self) else 0
-        return _face_neighbours(self.keys, self.levels, self.ix, self.iy,
-                                min(spread, 4))
+        """(4, n) face neighbours at any level gap; see :func:`_face_neighbours`."""
+        return _face_neighbours(self.keys, self.levels, self.ix, self.iy)
 
     @cached_property
     def _edges(self) -> tuple[np.ndarray, np.ndarray]:
@@ -264,9 +259,10 @@ class WhitneyDecomposition:
         positive offset of :data:`STENCIL` (dx > 0, or dx = 0 < dy) its
         target, then the target at the opposite offset, whose weight has
         the same bits, as addition commutes.  Its coarser targets follow,
-        then the finer cubes that target it, each by ascending id.  Rows
-        are written front to back in blocks of ``_BLOCK`` rows, which bound
-        the temporaries; the layout does not depend on the block size.
+        then the finer cubes that target it, each by ascending id.
+        :func:`_append_rows` places all three kinds, the same-level ones in
+        blocks of ``_BLOCK`` rows, which bound the temporaries; the layout
+        does not depend on the block size.
 
         A weight stands for the integral of 1/delta along the straight
         segment between the centers, which must lie in the domain: an edge
@@ -329,6 +325,7 @@ class WhitneyDecomposition:
                   + np.bincount(coarse, minlength=n), out=indptr[1:])
         indices = np.empty(int(indptr[-1]), dtype=np.int32)
         weights = np.empty(int(indptr[-1]))
+        fill = indptr[:-1].copy()
         # the same-level slots of a row: each positive offset, then its
         # opposite; centers of one level differ by exactly side * (dx, dy)
         slots = [c for dx, dy in STENCIL if dx > 0 or (dx == 0 and dy > 0)
@@ -339,23 +336,15 @@ class WhitneyDecomposition:
             table = np.stack([tgt[c][lo:hi] for c in slots], axis=1)
             f = np.flatnonzero(table >= 0)
             row, j = f >> 4, table.take(f)                  # 16 slots a row
-            side, delta = self.side[lo:hi], self.delta_center[lo:hi]
-            d = side.take(row) * h.take(f & 15)
-            di, dj = delta.take(row), self.delta_center.take(j)
+            i = row + lo
+            d = self.side.take(i) * h.take(f & 15)
             # no edge of a row is longer than side * max(h), so only rows
             # where that reaches the row's own delta can break the bound
-            if np.any(side * h.max() >= delta):
-                _check_reach(d, np.maximum(di, dj))
-            # the k-th entry of the block goes k places past the block's
-            # first same-level entry, plus the cross-level entries of the
-            # rows before its own
-            k = nsame[lo:hi]
-            pos = np.arange(len(f)) + (indptr[lo:hi] - np.cumsum(k) + k).take(row)
-            indices[pos] = j
-            weights[pos] = d * 2.0 / (di + dj)
+            if np.any(self.side[lo:hi] * h.max() >= self.delta_center[lo:hi]):
+                _check_reach(d, np.maximum(self.delta_center.take(i),
+                                           self.delta_center.take(j)))
+            _append_rows(fill[lo:hi], indices, weights, row, j, self._weights(i, j, d))
         del tgt
-        fill = indptr[:-1] + nsame
-        del nsame
         d = self._lengths(fine, coarse)
         _check_reach(d, self.delta_center[coarse])
         wt = self._weights(fine, coarse, d)
@@ -537,20 +526,21 @@ STENCIL = FACE_DIRS + ((1, 1), (-1, 1), (-1, -1), (1, -1),
 
 
 def _face_neighbours(keys: np.ndarray, levels: np.ndarray, ix: np.ndarray,
-                     iy: np.ndarray, max_diff: int) -> np.ndarray:
+                     iy: np.ndarray) -> np.ndarray:
     """Same-or-coarser face neighbour of every cube in each face direction.
 
     Row d of the (4, n) result holds, for each cube, the accepted cube that
     contains the same-level cell across its face in direction
-    ``FACE_DIRS[d]`` when that cube is at most ``max_diff`` levels coarser,
-    and -1 otherwise (the cell is split into finer cubes, or uncovered).
-    ``keys`` must be the sorted packed keys of (levels, ix, iy).  A
-    same-level match in a positive direction gives the opposite
-    direction's match of the other cube, so negative directions start one
-    level up.  The same-level cell above a cube has the next key, so the
-    next cube is that neighbour exactly when it holds that key.
+    ``FACE_DIRS[d]``, at any level gap, and -1 otherwise (the cell is
+    split into finer cubes, or uncovered).  ``keys`` must be the sorted
+    packed keys of (levels, ix, iy).  A same-level match in a positive
+    direction gives the opposite direction's match of the other cube, so
+    negative directions start one level up.  The same-level cell above a
+    cube has the next key, so the next cube is that neighbour exactly when
+    it holds that key.
     """
     n = len(keys)
+    spread = int(levels.max() - levels.min()) if n else 0
     out = np.full((4, n), -1, dtype=np.int32)
     ids = np.arange(n, dtype=np.int64)
     below = np.flatnonzero(keys[1:] == keys[:-1] + 1)
@@ -558,7 +548,7 @@ def _face_neighbours(keys: np.ndarray, levels: np.ndarray, ix: np.ndarray,
     for d, (dx, dy) in enumerate(FACE_DIRS):
         todo = ids[out[d] < 0]
         out[d, todo] = _locate(keys, levels[todo], ix[todo] + dx, iy[todo] + dy,
-                               range(0 if d == 0 else 1, max_diff + 1))
+                               range(0 if d == 0 else 1, spread + 1))
         if d < 2:
             j = out[d]
             same = (j >= 0) & (levels[j] == levels)
@@ -670,7 +660,9 @@ def refine_for_qh(w: WhitneyDecomposition,
     dyadic sides give s <= 2 s'.  Only an oracle whose distances are wrong
     below the cap breaks this: a face neighbour 3 or more levels coarser,
     past the bound :meth:`WhitneyDecomposition.stencil_graph` relies on,
-    raises :class:`OracleError`.
+    raises :class:`OracleError`; the check reads the face table row by row.
+    Each round tests only the cubes the last one split off, and the cubes
+    that meet the bound are concatenated once.
     """
     if not 0.0 < qh_bound <= QH_DIAMETER_BOUND:
         raise ValueError("qh_bound must be in (0, 1/3]")
@@ -680,30 +672,22 @@ def refine_for_qh(w: WhitneyDecomposition,
     # the side, so the oracle may clamp beyond this cap without changing any
     # decision (polygon domains exploit it; exact oracles ignore it)
     cap = SQRT2 / qh_bound + 2.0
+    done = []  # (levels, ix, iy, dist) of the cubes that meet the bound
     while True:
         need = 2.0 ** (-levels.astype(float)) * SQRT2 / dist > qh_bound
+        done.append(tuple(a[~need] for a in (levels, ix, iy, dist)))
         if not np.any(need):
             break
-        keep = ~need
-        sx, sy = _split_cells(ix[need], iy[need])
-        sl = np.repeat(levels[need], 4) + 1
-        s = 2.0 ** (-sl.astype(float))
-        sd = w.domain.cube_boundary_distance_capped(
-            (sx + 0.5) * s, (sy + 0.5) * s, s / 2.0, cap * s)
-        levels, ix, iy, dist = (
-            np.concatenate([levels[keep], sl]), np.concatenate([ix[keep], sx]),
-            np.concatenate([iy[keep], sy]), np.concatenate([dist[keep], sd]))
-
+        ix, iy = _split_cells(ix[need], iy[need])
+        levels = np.repeat(levels[need], 4) + 1
+        s = 2.0 ** (-levels.astype(float))
+        dist = w.domain.cube_boundary_distance_capped(
+            (ix + 0.5) * s, (iy + 0.5) * s, s / 2.0, cap * s)
+    levels, ix, iy, dist = (np.concatenate(a) for a in zip(*done))
+    del done
     out = WhitneyDecomposition(w.domain, w.min_level_cutoff, levels, ix, iy, dist)
-    # the face table looks at most 4 levels up; the cells it leaves
-    # unmatched are probed further up
-    faces, lv = out._face_table, out.levels
-    spread = int(lv.max() - lv.min()) if len(out) else 0
-    for d, (dx, dy) in enumerate(FACE_DIRS):
-        f = faces[d].astype(np.int64)
-        i = np.flatnonzero(f < 0)
-        f[i] = _locate(out.keys, lv[i], out.ix[i] + dx, out.iy[i] + dy,
-                       range(5, spread + 1))
+    lv = out.levels
+    for f in out._face_table:
         bad = np.flatnonzero((f >= 0) & (lv - lv[f] >= 3))
         if len(bad):
             i = bad[0]

@@ -18,7 +18,8 @@ from detourkit.fractals import (FractalApproximation, FractalLevel,
                                 TangentCircleTriple, apollonian,
                                 carpet_levels, gasket_levels, staircase_array)
 from detourkit.geometry import Interval1D, Line
-from detourkit.whitney import refine_for_qh, whitney_decompose
+from detourkit.whitney import (WhitneyDecomposition, refine_for_qh,
+                               whitney_decompose)
 
 
 @pytest.fixture(scope="module")
@@ -238,6 +239,21 @@ class TestAdjacentCubeEstimate:
         for a, b in edges[take]:
             lhs, rhs = ct.adjacent_cube_estimate(w, fn, int(a), int(b))
             assert lhs <= rhs + 1e-12
+
+    @pytest.mark.parametrize("level", [5, 6])
+    def test_pair_across_a_large_level_gap(self, level):
+        # a level-0 cube whose right face meets a column of level-5 or -6
+        # cubes: the unit cube and the first small one are adjacent
+        k = 2 ** level
+        w = WhitneyDecomposition(DiskDomain((0.5, 0.5), 10.0), level,
+                                 np.array([0] + [level] * k), np.array([0] + [k] * k),
+                                 np.concatenate([[0], np.arange(k)]),
+                                 np.full(k + 1, 100.0))
+        lhs, rhs = ct.adjacent_cube_estimate(w, ct.function_of("x"), 0, 1)
+        # means of x: 1/2 on [0, 1]^2 and 1 + h/2 on the side-h cube
+        h = 2.0 ** -level
+        assert lhs == pytest.approx(0.5 + h / 2, abs=1e-12)
+        assert rhs == pytest.approx(4 * (1 + h), abs=1e-12)
 
     def test_non_adjacent_rejected(self, square_w):
         edges, _ = square_w.adjacency_edges()

@@ -209,6 +209,21 @@ class TestAdjacency:
         assert ((3, 1, 1), (5, 8, 4)) in pairs          # ratio-4 face containment
         assert ((3, 1, 0), (5, 8, 4)) not in pairs      # corner only
 
+    @pytest.mark.parametrize("level", [5, 6])
+    def test_face_contacts_at_any_level_gap(self, level):
+        # a level-0 cube whose right face meets 2^level cubes of one level,
+        # stacked in a column: every contact is an edge, whatever the gap
+        k = 2 ** level
+        levels = np.array([0] + [level] * k)
+        ix = np.array([0] + [k] * k)
+        iy = np.concatenate([[0], np.arange(k)])
+        w = WhitneyDecomposition(DiskDomain((0.5, 0.5), 10.0), level, levels, ix,
+                                 iy, np.full(k + 1, 100.0))
+        edges, _ = w.adjacency_edges()
+        pairs = sorted(map(tuple, np.sort(edges, axis=1).tolist()))
+        assert pairs == sorted([(0, i) for i in range(1, k + 1)]
+                               + [(i, i + 1) for i in range(1, k)])
+
     def test_connectivity_below_cutoff(self, disk10):
         edges, _ = disk10.adjacency_edges()
         keep = disk10.levels <= disk10.min_level_cutoff - 2
@@ -295,14 +310,14 @@ class TestRefine:
 
     def test_gap_beyond_face_table_raises(self):
         # a level-0 cube whose right face meets 64 level-6 cubes: the face
-        # table looks 4 levels up, and the check probes the rest
+        # table finds the level-0 cube, and the check rejects the gap
         levels = np.array([0] + [6] * 64)
         ix = np.array([0] + [64] * 64)
         iy = np.arange(-1, 64)
         iy[0] = 0
         w = WhitneyDecomposition(DiskDomain((0.5, 0.5), 10.0), 6, levels, ix,
                                  iy, np.full(65, 100.0))
-        assert np.all(w._face_table[2] < 0)  # no left neighbour found
+        assert np.all(w._face_table[2, 1:] == 0)  # each finds the level-0 cube
         with pytest.raises(OracleError, match="6 levels coarser"):
             refine_for_qh(w)
 
@@ -477,8 +492,8 @@ class TestPointLocation:
         assert len(cubes) == 4
 
     def test_find_cubes_matches_level_loop(self, comb_refined):
-        # reference: per level, the cells of the point nudged by -eps and
-        # +eps on each axis, looked up one by one
+        # reference: per level of side s, the closed cells floor(u) and
+        # ceil(u) - 1 of u = x / s on each axis, looked up one by one
         w = comb_refined
         keys = {(int(lv), int(x), int(y)): k
                 for k, (lv, x, y) in enumerate(zip(w.levels, w.ix, w.iy))}
@@ -487,11 +502,10 @@ class TestPointLocation:
             hits = set()
             for lv in sorted(set(w.levels.tolist())):
                 s = 2.0 ** (-lv)
-                eps = s * 1e-12
-                for sx in (-1.0, 1.0):
-                    for sy in (-1.0, 1.0):
-                        cell = (lv, math.floor((p[0] + sx * eps) / s),
-                                math.floor((p[1] + sy * eps) / s))
+                u, v = p[0] / s, p[1] / s
+                for cx in (math.floor(u), math.ceil(u) - 1):
+                    for cy in (math.floor(v), math.ceil(v) - 1):
+                        cell = (lv, cx, cy)
                         if cell in keys:
                             hits.add(keys[cell])
             return sorted(hits)
@@ -507,16 +521,15 @@ class TestPointLocation:
 
     @pytest.mark.parametrize("domain", [DiskDomain, comb_domain])
     def test_find_cubes_matches_stacked_candidates(self, domain):
-        # reference: the candidate keys stacked with concatenate, tile and
-        # roll, as find_cubes built them before they were broadcast
+        # reference: the closed cells floor(u) and ceil(u) - 1 per level,
+        # stacked with concatenate, tile and roll rather than broadcast
         w = refine_for_qh(whitney_decompose(domain(), 9))
         lv, s = w._level_list
 
         def stacked(p):
-            eps = s * 1e-12
-            s2 = np.concatenate([s, s])
-            cx = np.floor(np.concatenate([p[0] - eps, p[0] + eps]) / s2).astype(np.int64)
-            cy = np.floor(np.concatenate([p[1] - eps, p[1] + eps]) / s2).astype(np.int64)
+            u, v = p[0] / s, p[1] / s
+            cx = np.concatenate([np.ceil(u) - 1, np.floor(u)]).astype(np.int64)
+            cy = np.concatenate([np.ceil(v) - 1, np.floor(v)]).astype(np.int64)
             cand = _pack(np.tile(lv, 4), np.concatenate([cx, cx]),
                          np.concatenate([cy, np.roll(cy, len(lv))]))
             pos = np.minimum(np.searchsorted(w.keys, cand), len(w) - 1)
