@@ -31,6 +31,12 @@ _COORD_BIAS = 1 << 27
 #: corner comparability: ell(Q) <= corner delta <= CORNER_UPPER * ell(Q)
 CORNER_UPPER = 4.0 * SQRT2 + SQRT2
 
+#: candidates of a nearest-cube scan, before ties at the last place
+_CANDIDATES = 32
+#: relative margin on squared center distances: the tree's and ours differ
+#: in rounding only, by a few ulps
+_TIE_PAD = 1.0 + 1e-12
+
 
 def _pack(level: np.ndarray, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
     lv = (np.asarray(level, dtype=np.int64) + _LEVEL_BIAS) << 56
@@ -124,9 +130,15 @@ class WhitneyDecomposition:
 
     @cached_property
     def _kdtree(self):
+        """Index over the cube centers; it finds candidates and decides nothing.
+
+        A sliding-midpoint build (Maneewongvatana and Mount, 1999) takes
+        about half the time of a balanced one; :meth:`nearest_cubes` orders
+        what either returns by itself.
+        """
         from scipy.spatial import cKDTree
 
-        return cKDTree(self.centers)
+        return cKDTree(self.centers, balanced_tree=False, compact_nodes=False)
 
     def find_cubes(self, point) -> list[int]:
         """Indices of every accepted closed cube containing ``point``.
@@ -156,7 +168,9 @@ class WhitneyDecomposition:
 
         Ties on shared boundaries go to the cube with the nearest center.
         Raises :class:`UncoveredPointError` naming the nearest cube when the
-        point is not covered, and no cube when it is not finite.
+        point is not covered, and no cube when it is not finite, when the
+        decomposition is empty or when the point is too far to rank the
+        cube centers (:meth:`nearest_cubes`).
         """
         x, y = float(point[0]), float(point[1])
         hits = self.find_cubes(point)
@@ -165,8 +179,10 @@ class WhitneyDecomposition:
                 (x - self.centers[i, 0]) ** 2 + (y - self.centers[i, 1]) ** 2, i))
         if not (math.isfinite(x) and math.isfinite(y)):
             raise UncoveredPointError(f"point ({x}, {y}) is not finite")
-        near = self.nearest_cube(point)
-        cube = self.cube(near)
+        try:
+            cube = self.cube(self.nearest_cube(point))
+        except ValueError:  # no cubes, or too far to rank their centers
+            raise UncoveredPointError(f"point ({x}, {y}) not covered; no nearest cube") from None
         raise UncoveredPointError(
             f"point ({x}, {y}) not covered; nearest cube level={cube.level} "
             f"ix={cube.ix} iy={cube.iy}")
@@ -177,23 +193,63 @@ class WhitneyDecomposition:
     def nearest_cubes(self, pts) -> np.ndarray:
         """Nearest accepted cube of each point (n, 2), shape (n,).
 
-        The candidates are the 32 cubes with the nearest centers; a point
-        takes the closest of them, and between distances within 1e-15 of
-        each other the smaller cube, scanning the candidates by center
-        distance.  An exact tie (equal sides, distances within 1e-15 and
-        equal center distances) goes to the candidate ``cKDTree.query``
-        lists first; ``test_nearest_cubes_match_scan`` pins that order.
+        Every cube is ranked by (center distance, cube id), the distance
+        taken as dx * dx + dy * dy.  A point's candidates are the cubes
+        ranked up to the 32nd, with every cube tied at the 32nd distance.
+        Scanning them in rank order, a point takes the closest cube, and
+        between distances within 1e-15 of each other the smaller cube.  The
+        k-d tree only finds the candidates: a query of 33 settles each row
+        whose 33rd center is clearly farther than its 32nd, and a ball query
+        completes the others.  Raises ValueError naming the first point
+        that is not finite or whose squared center distances overflow, or
+        any point when there are no cubes.
         """
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-        _, idx = self._kdtree.query(pts, k=min(32, len(self)))
-        idx = idx.reshape(len(pts), -1)
-        best, best_d = idx[:, 0], np.full(len(pts), np.inf)
-        for i in idx.T:
+        if not len(pts):
+            return np.zeros(0, dtype=np.intp)
+        if not len(self):
+            raise ValueError(f"no cube to rank for point ({pts[0, 0]}, {pts[0, 1]})")
+        k = min(_CANDIDATES + 1, len(self))
+        bad = ~np.all(np.isfinite(pts), axis=1)
+        if not np.any(bad):
+            dt, idx = self._kdtree.query(pts, k=k)
+            dt, idx = dt.reshape(len(pts), k), idx.reshape(len(pts), k)
+            # a missing neighbour reads inf; past about 1e154 the ball radius overflows
+            bad = ~np.isfinite(dt[:, -1] ** 2 * _TIE_PAD)
+        if np.any(bad):
+            x, y = pts[np.argmax(bad)]
+            raise ValueError(f"point ({x}, {y}) is not finite or too far from the "
+                             "cube centers to rank them")
+        idx, d2 = self._by_center_distance(idx, pts)
+        best = self._scan(idx[:, :_CANDIDATES], pts)
+        if k <= _CANDIDATES:
+            return best
+        # a cube the query left out is at least as far, in the tree's rounding,
+        # as its 33rd: rows without a clear gap after the 32nd are completed
+        cut = d2[:, _CANDIDATES - 1] * _TIE_PAD
+        tied = np.flatnonzero(d2[:, -1] <= cut)
+        balls = self._kdtree.query_ball_point(pts[tied], np.sqrt(cut[tied]))
+        for r, ball in zip(tied.tolist(), balls):
+            ids, d = self._by_center_distance(np.array([ball]), pts[r:r + 1])
+            last = np.searchsorted(d[0], d[0, _CANDIDATES - 1], "right")
+            best[r] = self._scan(ids[:, :last], pts[r:r + 1])[0]
+        return best
+
+    def _scan(self, cand, pts) -> np.ndarray:
+        """The cube each point of ``pts`` takes from its row of ``cand``, scanned in order."""
+        best, best_d = cand[:, 0], np.full(len(pts), np.inf)
+        for i in cand.T:
             d = self.cube_point_distances(i, pts)
             take = (d < best_d - 1e-15) | ((np.abs(d - best_d) <= 1e-15)
                                            & (self.side[i] < self.side[best]))
             best, best_d = np.where(take, i, best), np.where(take, d, best_d)
         return best
+
+    def _by_center_distance(self, idx, pts) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of ``idx`` (n, k) ordered by (center distance, id), and their squared distances."""
+        d2 = (pts[:, :1] - self.centers[idx, 0]) ** 2 + (pts[:, 1:] - self.centers[idx, 1]) ** 2
+        order = np.lexsort((idx, d2), axis=-1)
+        return np.take_along_axis(idx, order, -1), np.take_along_axis(d2, order, -1)
 
     def cube_point_distances(self, ids, pts) -> np.ndarray:
         """Distance from each point (n, 2) to the closed cube ``ids[k]``, shape (n,)."""

@@ -291,6 +291,20 @@ class TestOscillationBound:
         assert rep.resolution["bound_core"] == pytest.approx(2.0, abs=1e-9)
         assert rep.resolution["constant"] == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("expr", ["x2+y", "sinsin"])
+    def test_mean_gradient_matches_cube_loop(self, expr):
+        # reference: one cube at a time, summed in cube order, as before the
+        # blocked evaluation; 3,000-odd cubes span several blocks
+        w = whitney_decompose(DiskDomain(), 7)
+        assert len(w) > 2 * ct._CUBE_BLOCK
+        fn = ct.function_of(expr, p=3.0)
+        total = area = 0.0
+        for i in range(len(w)):
+            cell = w.side[i] ** 2
+            total += float(np.mean(fn.grad_norm(ct._cube_nodes(w, i)) ** 3.0)) * cell
+            area += cell
+        assert ct.domain_mean_gradient_p(w, fn, 3.0) == (total / area) ** (1.0 / 3.0)
+
     def test_gasket_hole_triangle(self, gasket8, scene8):
         hole = scene8.component(2)  # a level-2 hole triangle
         domain = PolygonDomain(hole.shape.vertices, name="hole")

@@ -9,8 +9,8 @@ from detourkit import qhyp
 from detourkit.domains import (DiskDomain, PolygonDomain, comb_domain,
                                equilateral_triangle_domain)
 from detourkit.errors import ResolutionError, UncoveredPointError
-from detourkit.whitney import (WhitneyDecomposition, refine_for_qh,
-                               whitney_decompose)
+from detourkit.whitney import (DyadicCube, WhitneyDecomposition,
+                               refine_for_qh, whitney_decompose)
 
 
 @pytest.fixture(scope="module")
@@ -388,12 +388,15 @@ def _ref_cube_point_distance(w, i, point):
     return math.hypot(dx, dy)
 
 
-def _ref_nearest_cube(w, tree, point):
-    """One k-d query per point, then a sequential scan of the candidates."""
-    _, idx = tree.query([point[0], point[1]], k=min(32, len(w)))
-    idx = np.atleast_1d(idx)
-    best, best_d = int(idx[0]), math.inf
-    for i in idx:
+def _ref_nearest_cube(w, point):
+    """A sequential scan, in (center distance, id) order, of every cube whose
+    center is no farther than the 32nd nearest; no k-d tree."""
+    d2 = (point[0] - w.centers[:, 0]) ** 2 + (point[1] - w.centers[:, 1]) ** 2
+    k = min(32, len(w)) - 1
+    near = np.flatnonzero(d2 <= np.partition(d2, k)[k])
+    order = near[np.lexsort((near, d2[near]))]
+    best, best_d = int(order[0]), math.inf
+    for i in order:
         d = _ref_cube_point_distance(w, int(i), point)
         if d < best_d - 1e-15 or (abs(d - best_d) <= 1e-15
                                   and w.side[i] < w.side[best]):
@@ -404,12 +407,11 @@ def _ref_nearest_cube(w, tree, point):
 def _ref_boundary_chains(solver, x0, pts):
     """Per-sample to_boundary loop: (served, terminals, chains, reasons)."""
     w = solver.w
-    tree = cKDTree(w.centers)
     served, terms, chains, reasons = [], [], [], []
     for i, b in enumerate(pts):
         if float(w.domain.boundary_distance(b)[0]) > 2.0 * float(w.side.min()):
             raise ValueError("target point is not near the domain boundary")
-        term = _ref_nearest_cube(w, tree, b)
+        term = _ref_nearest_cube(w, b)
         if _ref_cube_point_distance(w, term, b) > 8.0 * 2.0 ** (-w.min_level_cutoff):
             reasons.append(qhyp.NO_TERMINAL)
             continue
@@ -489,23 +491,77 @@ class TestBatchedBoundaryChains:
     @pytest.mark.parametrize("scene", ["disk", "triangle", "comb10"])
     def test_nearest_cubes_match_scan(self, request, scene):
         w = request.getfixturevalue(scene)
-        rng = np.random.default_rng(11)
-        x0, y0, x1, y1 = w.domain.bbox()
-        ids = rng.choice(len(w), 200, replace=False)
-        lo = w.centers[ids] - w.side[ids, None] / 2.0
-        pts = np.vstack([
-            # random points of the box
-            rng.uniform([x0, y0], [x1, y1], (300, 2)),
-            # points on shared cube faces and corners
-            lo, lo + w.side[ids, None] * np.column_stack(
-                [rng.uniform(0, 1, 200), np.zeros(200)]),
-            # uncovered points near the boundary
-            w.domain.boundary_points(128),
-        ])
+        pts = _probe_points(w)
         got = w.nearest_cubes(pts)
-        tree = cKDTree(w.centers)
-        assert got.tolist() == [_ref_nearest_cube(w, tree, p) for p in pts]
+        assert got.tolist() == [_ref_nearest_cube(w, p) for p in pts]
         assert w.nearest_cube(pts[0]) == got[0]
+
+    @pytest.mark.parametrize("scene", ["disk", "triangle", "comb10", "tie_at_32nd"])
+    def test_nearest_cubes_independent_of_the_tree(self, request, monkeypatch, scene):
+        # the tree finds the candidates and orders nothing: every build,
+        # balanced or sliding-midpoint, compact or not, any leaf size,
+        # gives the same terminals
+        w = request.getfixturevalue(scene)
+        pts = _probe_points(w) if scene != "tie_at_32nd" else _TIE_PROBE[None]
+        want = w.nearest_cubes(pts)
+        for kw in [dict(), dict(balanced_tree=False, compact_nodes=True),
+                   dict(compact_nodes=False, leafsize=1), dict(leafsize=64),
+                   dict(balanced_tree=False, compact_nodes=False, leafsize=8)]:
+            monkeypatch.setitem(w.__dict__, "_kdtree", cKDTree(w.centers, **kw))
+            assert w.nearest_cubes(pts).tolist() == want.tolist(), kw
+
+    def test_nearest_cube_tied_at_the_32nd_place(self, tie_at_32nd):
+        # twelve cubes tie at the 32nd place and the winner is one of them:
+        # a scan of the tree's first 32 alone finds it only when the tree
+        # happens to list it before the other eleven
+        w, p = tie_at_32nd, _TIE_PROBE
+        d2 = np.sort(np.sum((w.centers - p) ** 2, axis=1))
+        assert np.all(d2[:31] < d2[31]) and np.all(d2[31:] == d2[31])
+        assert w.cube(w.nearest_cube(p)) == DyadicCube(3, 4, 5)
+        assert w.nearest_cube(p) == _ref_nearest_cube(w, p)
+
+
+def _probe_points(w):
+    """Random points of the box, points on shared cube faces and corners,
+    and uncovered points near the boundary."""
+    rng = np.random.default_rng(11)
+    x0, y0, x1, y1 = w.domain.bbox()
+    ids = rng.choice(len(w), 200, replace=False)
+    lo = w.centers[ids] - w.side[ids, None] / 2.0
+    return np.vstack([
+        rng.uniform([x0, y0], [x1, y1], (300, 2)),
+        lo, lo + w.side[ids, None] * np.column_stack([rng.uniform(0, 1, 200), np.zeros(200)]),
+        w.domain.boundary_points(128),
+    ])
+
+
+#: the center of the level-3 cell (8, 8), which no cube of ``tie_at_32nd`` covers
+_TIE_PROBE = np.array([8.5, 8.5]) / 8
+
+
+@pytest.fixture(scope="module")
+def tie_at_32nd():
+    """Cubes whose 32nd nearest center from ``_TIE_PROBE`` is a 12-way tie.
+
+    Twelve level-3 cubes sit at the offsets (dx, dy), dx^2 + dy^2 = 25, from
+    the level-3 cell (8, 8) whose center is the probe; 31 level-6 cubes,
+    clear of them, have centers 4.45 to 5 level-3 sides away.  Among the
+    twelve, the eight of offset (3, 4) or (4, 3) are nearest as boxes
+    (hypot(2.5, 3.5) sides, against more than 4.36 for the small cubes and
+    4.5 for the other four), and the lowest id of the eight, offset
+    (-4, -3), wins.
+    """
+    big = [(8 + dx, 8 + dy) for dx in range(-5, 6) for dy in range(-5, 6)
+           if dx * dx + dy * dy == 25]
+    ix, iy = np.divmod(np.arange(128 * 128), 128)  # the level-6 cells of [0, 2]^2
+    r = np.hypot((ix + 0.5) / 64 - _TIE_PROBE[0], (iy + 0.5) / 64 - _TIE_PROBE[1])
+    clear = ~np.any([(ix // 8 == bx) & (iy // 8 == by) for bx, by in big], axis=0)
+    pool = np.flatnonzero(clear & (r > 4.45 / 8) & (r < 5 / 8))
+    small = np.random.default_rng(7).choice(pool, 31, replace=False)
+    levels = np.r_[np.full(12, 3), np.full(31, 6)]
+    return WhitneyDecomposition(DiskDomain((0.5, 0.5), 10.0), 6, levels,
+                                np.r_[[b[0] for b in big], ix[small]],
+                                np.r_[[b[1] for b in big], iy[small]], np.full(43, 100.0))
 
 
 # --- radius-bounded distance queries against an unbounded reference -----------

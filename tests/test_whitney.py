@@ -594,6 +594,36 @@ class TestPointLocation:
         with pytest.raises(UncoveredPointError):
             GeodesicSolver(w).distance(p, (0.1, 0.1))
 
+    def test_empty_decomposition_is_uncovered(self):
+        # the empty tree raised numpy's zero-size reduction error
+        none = np.zeros(0, dtype=np.int64)
+        w = WhitneyDecomposition(DiskDomain(), 5, none, none, none, np.zeros(0))
+        with pytest.raises(UncoveredPointError, match="no nearest cube"):
+            w.find_cube((0.1, 0.1))
+        with pytest.raises(ValueError, match=r"\(0\.1, 0\.2\)"):
+            w.nearest_cubes([(0.1, 0.2)])
+
+    def test_nearest_cubes_of_no_points(self):
+        w = refine_for_qh(whitney_decompose(DiskDomain(), 5))
+        got = w.nearest_cubes(np.zeros((0, 2)))
+        assert got.shape == (0,) and got.dtype == np.intp
+
+    def test_overflowing_point_is_uncovered(self):
+        # the squared center distances of (1e300, 0) overflow: the tree
+        # found no neighbour, and its missing index n raised IndexError
+        from detourkit.qhyp import GeodesicSolver
+
+        w = refine_for_qh(whitney_decompose(DiskDomain(), 5))
+        with pytest.raises(ValueError, match=r"\(1e\+300, 0\.0\)"):
+            w.nearest_cubes([(0.0, 0.0), (1e300, 0.0)])
+        with pytest.raises(UncoveredPointError, match="no nearest cube"):
+            w.find_cube((1e300, 0.0))
+        with pytest.raises(UncoveredPointError):
+            GeodesicSolver(w).distance((1e300, 0.0), (0.1, 0.1))
+        # far, but within range: the cube nearest by box distance
+        with pytest.raises(UncoveredPointError, match="nearest cube level"):
+            w.find_cube((1e154, 0.0))
+
 
 class TestSerialization:
     def test_cubes_csv_columns(self):
