@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import TextIO
 
 import numpy as np
@@ -36,6 +36,11 @@ _CANDIDATES = 32
 #: relative margin on squared center distances: the tree's and ours differ
 #: in rounding only, by a few ulps
 _TIE_PAD = 1.0 + 1e-12
+
+
+def _takes(d, side, best_d, best_side):
+    """Whether a cube at box distance ``d`` beats the best so far (arrays or floats)."""
+    return (d < best_d - 1e-15) | ((abs(d - best_d) <= 1e-15) & (side < best_side))
 
 
 def _pack(level: np.ndarray, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
@@ -71,9 +76,9 @@ class WhitneyDecomposition:
     cube to the boundary) and ``keys`` (packed, sorted).  Two graphs live on
     the cubes: face adjacency (:meth:`adjacency_edges`, built from the
     face-neighbour table) and the 16-direction quasihyperbolic stencil
-    (:meth:`stencil_graph`).  Instances are immutable apart from the
-    cached properties that derive their tables; refinement returns a new
-    object.
+    (:meth:`stencil_graph`).  Instances are immutable: every array they
+    hold, the cached tables included, is read-only, so each table is built
+    once and stays valid.  Refinement returns a new object.
     """
 
     def __init__(self, domain: Domain, min_level_cutoff: int,
@@ -97,6 +102,8 @@ class WhitneyDecomposition:
         if np.any(self.delta_center <= 0.0):
             raise OracleError("inside cube center with zero boundary distance")
         self.keys = keys[order]
+        _frozen(self.levels, self.ix, self.iy, self.dist, self.side, self.centers,
+                self.delta_center, self.keys)
         self.uncovered_area = max(domain.area() - float(np.sum(self.side ** 2)), 0.0)
 
     # --- basic accessors ---------------------------------------------------
@@ -126,7 +133,7 @@ class WhitneyDecomposition:
         # values where a run starts
         lv = self.levels[np.flatnonzero(
             np.diff(self.levels, prepend=self.levels[0] - 1))]
-        return lv, 2.0 ** (-lv.astype(float))
+        return _frozen(lv, 2.0 ** (-lv.astype(float)))
 
     @cached_property
     def _kdtree(self):
@@ -200,9 +207,9 @@ class WhitneyDecomposition:
         between distances within 1e-15 of each other the smaller cube.  The
         k-d tree only finds the candidates: a query of 33 settles each row
         whose 33rd center is clearly farther than its 32nd, and a ball query
-        completes the others.  Raises ValueError naming the first point
-        that is not finite or whose squared center distances overflow, or
-        any point when there are no cubes.
+        completes the others, scanned over floats.  Raises ValueError naming
+        the first point that is not finite or whose squared center distances
+        overflow, or any point when there are no cubes.
         """
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
         if not len(pts):
@@ -221,7 +228,11 @@ class WhitneyDecomposition:
             raise ValueError(f"point ({x}, {y}) is not finite or too far from the "
                              "cube centers to rank them")
         idx, d2 = self._by_center_distance(idx, pts)
-        best = self._scan(idx[:, :_CANDIDATES], pts)
+        best, best_d = idx[:, 0], np.full(len(pts), np.inf)
+        for i in idx[:, :_CANDIDATES].T:
+            d = self.cube_point_distances(i, pts)
+            take = _takes(d, self.side[i], best_d, self.side[best])
+            best, best_d = np.where(take, i, best), np.where(take, d, best_d)
         if k <= _CANDIDATES:
             return best
         # a cube the query left out is at least as far, in the tree's rounding,
@@ -231,18 +242,10 @@ class WhitneyDecomposition:
         balls = self._kdtree.query_ball_point(pts[tied], np.sqrt(cut[tied]))
         for r, ball in zip(tied.tolist(), balls):
             ids, d = self._by_center_distance(np.array([ball]), pts[r:r + 1])
-            last = np.searchsorted(d[0], d[0, _CANDIDATES - 1], "right")
-            best[r] = self._scan(ids[:, :last], pts[r:r + 1])[0]
-        return best
-
-    def _scan(self, cand, pts) -> np.ndarray:
-        """The cube each point of ``pts`` takes from its row of ``cand``, scanned in order."""
-        best, best_d = cand[:, 0], np.full(len(pts), np.inf)
-        for i in cand.T:
-            d = self.cube_point_distances(i, pts)
-            take = (d < best_d - 1e-15) | ((np.abs(d - best_d) <= 1e-15)
-                                           & (self.side[i] < self.side[best]))
-            best, best_d = np.where(take, i, best), np.where(take, d, best_d)
+            ids = ids[0, :np.searchsorted(d[0], d[0, _CANDIDATES - 1], "right")]
+            box, side = self.cube_point_distances(ids, pts[r]).tolist(), self.side[ids].tolist()
+            best[r] = ids[reduce(lambda b, j: j if _takes(box[j], side[j], box[b], side[b]) else b,
+                                 range(len(ids)))]
         return best
 
     def _by_center_distance(self, idx, pts) -> tuple[np.ndarray, np.ndarray]:
@@ -264,13 +267,13 @@ class WhitneyDecomposition:
     @cached_property
     def _face_table(self) -> np.ndarray:
         """(4, n) face neighbours at any level gap; see :func:`_face_neighbours`."""
-        return _face_neighbours(self.keys, self.levels, self.ix, self.iy)
+        return _frozen(_face_neighbours(self.keys, self.levels, self.ix, self.iy))[0]
 
     @cached_property
     def _edges(self) -> tuple[np.ndarray, np.ndarray]:
         edges = _face_pairs(self._face_table, self.levels)
         a, b = edges[:, 0], edges[:, 1]
-        return edges, self._weights(a, b, self._lengths(a, b))
+        return _frozen(edges, self._weights(a, b, self._lengths(a, b)))
 
     def adjacency_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Edges (m, 2) over cube ids and their quasihyperbolic weights.
@@ -293,6 +296,8 @@ class WhitneyDecomposition:
 
     def stencil_graph(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """CSR arrays ``(indptr, indices, weights)`` of the 16-direction graph.
+
+        Built once: every call returns the same three read-only arrays.
 
         Cube i links to the accepted cube, of its own level or up to 2
         levels coarser, that contains ``center_i + side_i * (dx, dy)`` for
@@ -329,6 +334,10 @@ class WhitneyDecomposition:
         half a diagonal of its coarser one; :class:`GraphInvariantError` is
         raised when an edge breaks the bound.
         """
+        return self._stencil
+
+    @cached_property
+    def _stencil(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         n = len(self)
         levels = self.levels
 
@@ -408,7 +417,7 @@ class WhitneyDecomposition:
         _append_rows(fill, indices, weights, fine, coarse, wt)
         order = np.argsort(coarse, kind="stable")
         _append_rows(fill, indices, weights, coarse[order], fine[order], wt[order])
-        return indptr, indices, weights
+        return _frozen(indptr, indices, weights)
 
     def segment_cubes(self, a, b) -> tuple[np.ndarray, np.ndarray]:
         """Cubes whose interior meets the segment from center ``a[s]`` to ``b[s]``.
@@ -654,6 +663,13 @@ def _face_pairs(faces: np.ndarray, levels: np.ndarray) -> np.ndarray:
     return np.vstack(pairs)
 
 
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``arrays``, marked read-only: the cached tables derived from them stay valid."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 def _unique(x: np.ndarray) -> np.ndarray:
     """Sorted distinct values of an integer array (a sort is faster here
     than the hash table behind ``np.unique``)."""
@@ -722,7 +738,6 @@ def refine_for_qh(w: WhitneyDecomposition,
     """
     if not 0.0 < qh_bound <= QH_DIAMETER_BOUND:
         raise ValueError("qh_bound must be in (0, 1/3]")
-    # every step below builds new arrays, so w's own are never written
     levels, ix, iy, dist = w.levels, w.ix, w.iy, w.dist
     # distances only steer threshold comparisons against small multiples of
     # the side, so the oracle may clamp beyond this cap without changing any

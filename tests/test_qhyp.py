@@ -496,6 +496,26 @@ class TestBatchedBoundaryChains:
         assert got.tolist() == [_ref_nearest_cube(w, p) for p in pts]
         assert w.nearest_cube(pts[0]) == got[0]
 
+    @pytest.mark.parametrize("p, tied", [((1e9, 0.5), 400), ((1e15, 0.5), 10_000)],
+                             ids=["1e9", "1e15"])
+    def test_far_point_matches_scan(self, comb10, p, tied):
+        # far away the squared center distances round together: hundreds or
+        # thousands of cubes tie at the 32nd place
+        d2 = (p[0] - comb10.centers[:, 0]) ** 2 + (p[1] - comb10.centers[:, 1]) ** 2
+        assert np.sum(d2 <= np.partition(d2, 31)[31]) > tied
+        assert comb10.nearest_cube(p) == _ref_nearest_cube(comb10, p)
+
+    def test_nearest_cubes_of_32_cubes_or_fewer(self):
+        # the tree's first query holds every cube, so no row is completed
+        w = whitney_decompose(DiskDomain(), 2)
+        assert len(w) == 12
+        lo = w.centers - w.side[:, None] / 2.0
+        faces = lo + w.side[:, None] * np.array([[0.5, 0.0], [1.0, 0.5]])[:, None]
+        rng = np.random.default_rng(3)
+        pts = np.vstack([lo, lo + w.side[:, None], *faces, rng.uniform(-1.2, 1.2, (64, 2))])
+        got = w.nearest_cubes(pts)
+        assert got.tolist() == [_ref_nearest_cube(w, p) for p in pts]
+
     @pytest.mark.parametrize("scene", ["disk", "triangle", "comb10", "tie_at_32nd"])
     def test_nearest_cubes_independent_of_the_tree(self, request, monkeypatch, scene):
         # the tree finds the candidates and orders nothing: every build,

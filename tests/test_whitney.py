@@ -377,9 +377,40 @@ class TestStencilGraph:
         whole = comb_refined.stencil_graph()
         monkeypatch.setattr(whitney, "_BLOCK", 1 << 10)
         assert len(comb_refined) > 4 << 10
-        blocked = comb_refined.stencil_graph()
+        # comb_refined keeps the graph it built: build again on a fresh object
+        w = comb_refined
+        fresh = WhitneyDecomposition(w.domain, w.min_level_cutoff, w.levels, w.ix, w.iy, w.dist)
+        blocked = fresh.stencil_graph()
         for a, b in zip(whole, blocked):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_built_once(self, monkeypatch):
+        from detourkit.qhyp import GeodesicSolver
+
+        calls = []
+        append_rows = whitney._append_rows  # called only while a stencil is built
+        monkeypatch.setattr(whitney, "_append_rows",
+                            lambda *a: calls.append(1) or append_rows(*a))
+        w = refine_for_qh(whitney_decompose(DiskDomain(), 6))
+        first = w.stencil_graph()
+        built = len(calls)
+        assert built > 0
+        GeodesicSolver(w)
+        GeodesicSolver(w)
+        assert len(calls) == built
+        assert all(a is b for a, b in zip(w.stencil_graph(), first))
+
+    def test_every_array_read_only(self):
+        w = refine_for_qh(whitney_decompose(DiskDomain(), 6))
+        w.find_cube((0.1, 0.2))
+        w.adjacency_edges()
+        w.stencil_graph()
+        held = [a for v in vars(w).values()
+                for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)]
+        assert len(held) == 8 + 2 + 1 + 2 + 3  # cubes, levels, face table, edges, stencil
+        for a in held:
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = a.flat[0]
 
     @pytest.mark.parametrize("make, digest", [
         (comb_domain, "01990fbd98ee5a752d8b5fdfd2d141d880ac4efab958dd4180cf5ab578fefa7a"),
